@@ -5,8 +5,8 @@ lambda with exactly k parts, where N(lambda) is the product of the parts.
 The package computes it three ways and checks the routes against each other:
 
   * exactly, at even arguments s = 2m, as a rational multiple of pi^(2mk);
-  * numerically on the complex plane, through the explicit formula that
-    expands it in zeta(s), zeta(2s), ..., zeta(ks) over the partitions of k;
+  * numerically on the complex plane, through the explicit formula in
+    zeta(s), ..., zeta(ks) over the partitions of k, by an O(k^2) recurrence;
   * by brute force, as a truncated direct sum over bounded partitions.
 
 Alongside sit exact q-series verifiers for the partial-fraction

@@ -13,6 +13,7 @@ failed verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ class _UsageError(Exception):
 
 
 def parse_complex_arg(text: str) -> complex:
-    """Parse "a+bi" style complex literals: "2", "-2", "2.5+1i", "3i"."""
+    """Parse finite "a+bi" style complex literals: "2", "-2", "2.5+1i", "3i"."""
     t = (
         text.strip()
         .replace(" ", "")
@@ -35,9 +36,12 @@ def parse_complex_arg(text: str) -> complex:
         .replace("i", "j")
     )
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def parse_rational_csv(text: str) -> list[Fraction]:

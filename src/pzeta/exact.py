@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ExponentMismatch
-from .partitions import enumerate_partitions_of_size
+from .partitions import complete_homogeneous
 
 # Alias documenting the exact-rational contract of this module's interfaces.
 BigRational = Fraction
@@ -36,9 +36,10 @@ def parse_rational(text: str) -> Fraction:
 class PiPower:
     """Exact value ``coeff * pi**exponent`` with a nonnegative even exponent.
 
-    Multiplication adds exponents; addition is defined only between equal
-    exponents and raises ExponentMismatch otherwise (such a mismatch is a
-    caller bug, never silently coerced).
+    Multiplication adds exponents and division by a rational keeps them;
+    addition is defined only between equal exponents and raises
+    ExponentMismatch otherwise (such a mismatch is a caller bug, never
+    silently coerced).
     """
 
     coeff: Fraction
@@ -58,10 +59,10 @@ class PiPower:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "PiPower":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponentiation requires an integer n >= 0")
-        return PiPower(self.coeff**n, self.exponent * n)
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PiPower(self.coeff / other, self.exponent)
+        return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, PiPower):
@@ -118,26 +119,17 @@ def zeta_even_exact(two_m: int) -> PiPower:
 def partition_zeta_exact(m: int, k: int) -> PiPower:
     """Fixed-length partition zeta value at even argument s = 2m, exactly.
 
-    Sums, over the partitions of k, the exact products
-    zeta(2m)^{m_1} zeta(4m)^{m_2} ... zeta(2mk)^{m_k} divided by
-    N(lambda) * m_1! * ... * m_k!; the result is a rational multiple of
-    pi^(2mk).  k = 0 gives 1 by convention.
+    The sum, over the partitions of k, of zeta(2m)^{m_1} ... zeta(2mk)^{m_k}
+    divided by N(lambda) * m_1! * ... * m_k!, computed as h_k(zeta(2m), ...,
+    zeta(2mk)) by complete_homogeneous in O(k^2); the result is a rational
+    multiple of pi^(2mk).  k = 0 gives 1 by convention.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    # Every term carries the same pi exponent 2mk; starting the sum there
-    # makes any deviation raise ExponentMismatch instead of passing silently.
-    total = PiPower(Fraction(0), 2 * m * k)
-    for lam in enumerate_partitions_of_size(k):
-        term = PiPower(Fraction(1), 0)
-        denom = lam.norm()
-        for j, mj in lam.multiplicities().items():
-            term = term * zeta_even_exact(2 * m * j) ** mj
-            denom *= math.factorial(mj)
-        total = total + term * Fraction(1, denom)
-    return total
+    zetas = [zeta_even_exact(2 * m * j) for j in range(1, k + 1)]
+    return complete_homogeneous(zetas, PiPower(Fraction(1), 0))[k]
 
 
 def zeta2_family_coefficient(k: int) -> Fraction:

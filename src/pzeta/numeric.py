@@ -1,12 +1,12 @@
 """Floating-point analytics on the complex plane.
 
 Riemann zeta through Euler-Maclaurin summation (reflected by the functional
-equation on the left half plane), fixed-length partition zeta values through
-the explicit partition-sum formula, truncated direct sums over bounded
-partitions, restricted Euler products, and a two-scale probe for pole orders.
+equation on the left half plane), fixed-length partition zeta values from
+zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, truncated direct
+sums over bounded partitions, restricted Euler products, and pole orders.
 
 All floating point is double precision.  Every evaluation returns an
-EvalResult carrying a heuristic absolute error estimate; results whose
+EvalResult carrying an absolute error estimate; zeta results whose
 estimate exceeds PRECISION_LOSS_THRESHOLD are not returned but raised as
 PrecisionLoss with the untrusted value attached.
 """
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DivergenceRegion,
+    DomainError,
     FitUnstable,
     InvalidForm,
     PoleAt1,
@@ -29,7 +30,7 @@ from .errors import (
     PrecisionLoss,
 )
 from .exact import bernoulli_numbers
-from .partitions import enumerate_partitions_of_size
+from .partitions import complete_homogeneous
 
 #: Half-width of the neighbourhood around a pole treated as "at the pole".
 POLE_EXCLUSION_RADIUS = 1e-9
@@ -62,6 +63,12 @@ def _finite(result: EvalResult) -> EvalResult:
     if not (math.isfinite(v.real) and math.isfinite(v.imag)) or not math.isfinite(result.est_error):
         raise PrecisionLoss("evaluation produced a non-finite value", partial=result)
     return result
+
+
+def _finite_arg(s: complex) -> complex:
+    if not cmath.isfinite(s := complex(s)):
+        raise DomainError(f"s must be finite, got {s}")
+    return s
 
 
 def _trusted(result: EvalResult) -> EvalResult:
@@ -133,7 +140,10 @@ def _zeta_functional(s: complex, n_terms: int | None, corrections: int | None) -
         value = -0.5 + _ZETA_PRIME_AT_0 * s
         return EvalResult(value, 2.0 * abs(s) ** 2 + 1e-16, 0)
     inner = _zeta_euler_maclaurin(1 - s, n_terms, corrections)
-    prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma_lanczos(1 - s)
+    try:
+        prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma_lanczos(1 - s)
+    except OverflowError:
+        raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}") from None
     value = prefactor * inner.value
     est = abs(prefactor) * inner.est_error + (1 + abs(value)) * 1e-14
     return EvalResult(value, est, inner.terms_used)
@@ -178,9 +188,10 @@ def riemann_zeta(
     N = max(20, 3 ceil(2 + |Im s|)) terms and 12 Bernoulli corrections;
     Re(s) < 1/2 reflects through the functional equation.  ``method`` may
     force a branch ("euler_maclaurin" or "functional"); ``n_terms`` and
-    ``corrections`` override the defaults.
+    ``corrections`` override the defaults.  Non-finite s raises
+    DomainError, a reflection leaving the double range PrecisionLoss.
     """
-    s = complex(s)
+    s = _finite_arg(s)
     if abs(s - 1) < POLE_EXCLUSION_RADIUS:
         raise PoleAt1(f"s = {s} lies within {POLE_EXCLUSION_RADIUS} of the pole at s = 1")
     branch = method
@@ -200,41 +211,33 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
         sum over lambda of k of
         zeta(s)^{m_1} zeta(2s)^{m_2} ... zeta(ks)^{m_k} / (N(lambda) m_1!...m_k!).
 
+    computed as h_k(zeta(s), ..., zeta(ks)) by complete_homogeneous.  With
+    a_j = |zeta(js)|, e_j its est_error and A the same recurrence on the a_j,
+    est_error is D_k, D_n = (1/n) sum_j [(a_j + e_j) D_{n-j} + e_j A_{n-j}]
+    + (n + 2) u A_n: the zeta errors propagated as through the partition sum,
+    plus the rounding of step n (u = 2.5e-16 >= sqrt(5) 2^-53 per complex
+    product).  terms_used is the zeta terms plus k(k+1)/2 recurrence products.
+
     k = 0 returns exactly 1.  Rejects s within POLE_EXCLUSION_RADIUS of any
     pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j.
     """
-    s = complex(s)
+    s = _finite_arg(s)
     if k < 0:
         raise ValueError("k must be >= 0")
     for j in range(1, k + 1):
         if abs(s - 1 / j) < POLE_EXCLUSION_RADIUS:
             raise PoleProximity(j)
-    if k == 0:
-        return EvalResult(1 + 0j, 0.0, 0)
-    zetas = {j: riemann_zeta(j * s) for j in range(1, k + 1)}
-    total = 0j
-    err = 0.0
-    abs_sum = 0.0
-    terms = sum(z.terms_used for z in zetas.values())
-    for lam in enumerate_partitions_of_size(k):
-        denom = lam.norm()
-        v = 1 + 0j
-        v_abs = 1.0
-        v_hi = 1.0
-        for j, mj in lam.multiplicities().items():
-            zj = zetas[j]
-            v *= zj.value**mj
-            a = abs(zj.value)
-            v_abs *= a**mj
-            v_hi *= (a + zj.est_error) ** mj
-            denom *= math.factorial(mj)
-        total += v / denom
-        # First-order propagation without dividing by possibly-zero factors.
-        err += (v_hi - v_abs) / denom
-        abs_sum += v_abs / denom
-        terms += 1
-    err += abs_sum * 1e-15
-    return _finite(EvalResult(total, err, terms))
+    zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
+    value = complete_homogeneous([z.value for z in zetas], 1 + 0j)[k]
+    a = [abs(z.value) for z in zetas]
+    e = [z.est_error for z in zetas]
+    A = complete_homogeneous(a, 1.0)
+    D = [0.0]
+    for n in range(1, k + 1):
+        acc = sum((a[j - 1] + e[j - 1]) * D[n - j] + e[j - 1] * A[n - j] for j in range(1, n + 1))
+        D.append(acc / n + (n + 2) * 2.5e-16 * A[n])
+    terms = sum(z.terms_used for z in zetas) + k * (k + 1) // 2
+    return _finite(EvalResult(value, D[k], terms))
 
 
 def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
@@ -247,42 +250,36 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     the partition-sum formula, so it stays an independent oracle (small
     cases are pinned against the explicit enumeration in the tests).
 
-    est_error is the heuristic tail bound
-    (sum_{n<=max_part} n^-sigma)^(k-1) * max_part^(1-sigma)/(sigma-1) with
-    sigma = Re(s): the integral bound on the excluded largest parts times a
-    crude bound on the remaining k-1 parts.
+    est_error is truncation_error_estimate(s, k, max_part), an upper bound
+    on the distance to the full length-k sum.
     """
     s = complex(s)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if max_part < 1:
-        raise ValueError("max_part must be >= 1")
-    sigma = s.real
-    if sigma <= 1:
-        raise DivergenceRegion(f"direct sum requires Re(s) > 1, got {sigma}")
+    est = truncation_error_estimate(s, k, max_part)
     n = np.arange(1, max_part + 1, dtype=np.float64)
     w = n ** (-s)
     f = np.ones(max_part, dtype=np.complex128)
     for _ in range(k):
         f = np.cumsum(w * f)
-    value = complex(f[-1])
-    zeta_trunc = float(np.sum(n ** (-sigma)))
-    tail = max_part ** (1 - sigma) / (sigma - 1)
-    est = zeta_trunc ** (k - 1) * tail
-    return _finite(EvalResult(value, est, k * max_part))
+    return _finite(EvalResult(complex(f[-1]), est, k * max_part))
 
 
 def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
-    """The heuristic tail bound direct_sum_truncated would report, without
-    computing the sum itself; useful for choosing max_part in advance."""
+    """Upper bound (zeta_M(sigma) + T)^(k-1) T on the terms
+    direct_sum_truncated(s, k, M) leaves out, sigma = Re(s): an omitted
+    partition's largest part exceeds M, and T = M^(1-sigma)/(sigma-1) bounds
+    those; the other parts add at most zeta(sigma) <= zeta_M(sigma) + T each,
+    zeta_M the sum of n^-sigma to M.  Infinite past the double range."""
     sigma = complex(s).real
     if sigma <= 1:
         raise DivergenceRegion(f"direct sum requires Re(s) > 1, got {sigma}")
     if k < 1 or max_part < 1:
         raise ValueError("k and max_part must be >= 1")
     n = np.arange(1, max_part + 1, dtype=np.float64)
-    zeta_trunc = float(np.sum(n ** (-sigma)))
-    return zeta_trunc ** (k - 1) * max_part ** (1 - sigma) / (sigma - 1)
+    tail = max_part ** (1 - sigma) / (sigma - 1)
+    try:
+        return (float(np.sum(n ** (-sigma))) + tail) ** (k - 1) * tail
+    except OverflowError:
+        return math.inf
 
 
 _PROBE_SCALES = (1e-3, 5e-4)

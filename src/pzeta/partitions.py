@@ -9,7 +9,7 @@ of parts, 1 for the empty partition) and the multiplicity map part -> count.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class Partition:
@@ -127,6 +127,17 @@ def enumerate_partitions_of_size(k: int) -> Iterator[Partition]:
             take = min(cap, rem)
             parts.append(take)
             rem -= take
+
+
+def complete_homogeneous(power_sums: Sequence, one) -> list:
+    """[h_0 = one, h_1, ..., h_k], h_n = sum over lambda of n of p_lambda /
+    (N(lambda) m_1!...m_n!), by Newton's n h_n = sum_j p_j h_{n-j} in O(k^2).
+    Sums start from their first term: types without a zero (PiPower) work."""
+    h = [one]
+    for n in range(1, len(power_sums) + 1):
+        terms = (power_sums[j - 1] * h[n - j] for j in range(2, n + 1))
+        h.append(sum(terms, power_sums[0] * h[n - 1]) / n)
+    return h
 
 
 def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[Partition]:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import DivergenceRegion, NonzeroConstantTerm
 from .exact import format_rational
-from .partitions import enumerate_partitions_of_size
+from .partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
 class TruncatedSeries:
@@ -131,17 +131,13 @@ class TruncatedSeries:
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """Exact exponential of a series with zero constant term.
 
-    Uses the derivative recurrence n b_n = sum_{i=1}^{n} i a_i b_{n-i}.
+    Uses the derivative recurrence n b_n = sum_{i=1}^{n} i a_i b_{n-i}: the
+    Newton recurrence of complete_homogeneous with power sums p_i = i a_i.
     """
     if a.coeffs[0] != 0:
         raise NonzeroConstantTerm("series exponential requires a zero constant term")
-    n = a.order
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
-    for t in range(1, n + 1):
-        acc = sum(i * a.coeffs[i] * out[t - i] for i in range(1, t + 1))
-        out[t] = acc / t
-    return TruncatedSeries(out)
+    power_sums = [i * a.coeffs[i] for i in range(1, a.order + 1)]
+    return TruncatedSeries(complete_homogeneous(power_sums, Fraction(1)))
 
 
 def geometric_series(j: int, order: int) -> TruncatedSeries:

@@ -32,8 +32,9 @@ def test_parse_complex_forms():
 def test_parse_complex_rejects_garbage():
     import argparse
 
-    with pytest.raises(argparse.ArgumentTypeError):
-        cli.parse_complex_arg("two")
+    for text in ("two", "nan", "1+nani", "1e400"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_complex_arg(text)
 
 
 def test_parse_rational_csv():
@@ -178,6 +179,13 @@ def test_divergence_reports_domain_error(capsys):
     assert doc["error"] == "DivergenceRegion"
 
 
+def test_reflection_overflow_reports_domain_error(capsys):
+    code, out = run_cli(capsys, "eval", "--s=-200", "--k", "1")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["error"] == "PrecisionLoss"
+
+
 def test_value_error_reports_exit_1(capsys):
     code, out = run_cli(capsys, "exact", "--m", "0", "--k", "2")
     doc = json.loads(out)
@@ -204,6 +212,10 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(["faadibruno", "--order", "1", "--coeffs", "1,2,3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--s", "nan", "--k", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -109,10 +109,10 @@ def test_pi_power_multiplication_adds_exponents():
     assert 2 * a == PiPower(Fraction(1, 3), 2)
 
 
-def test_pi_power_pow():
+def test_pi_power_division_by_rational():
     a = PiPower(Fraction(1, 6), 2)
-    assert a**3 == PiPower(Fraction(1, 216), 6)
-    assert a**0 == PiPower(Fraction(1), 0)
+    assert a / 3 == PiPower(Fraction(1, 18), 2)
+    assert a / Fraction(1, 2) == PiPower(Fraction(1, 3), 2)
 
 
 def test_pi_power_addition_same_exponent():

@@ -12,6 +12,7 @@ import pytest
 
 from pzeta.errors import (
     DivergenceRegion,
+    DomainError,
     FitUnstable,
     InvalidForm,
     PoleAt1,
@@ -124,6 +125,25 @@ def test_zeta_precision_loss_attaches_partial():
     assert isinstance(partial, EvalResult)
     assert abs(partial.value - math.pi**2 / 6) < 0.05  # crude but present
     assert partial.est_error > 1e-8
+
+
+def test_zeta_reflection_overflow_is_typed():
+    # pi |Im s| / 2 past the double range (sine), and Gamma(1 - s) at large
+    # negative s, both overflow inside the functional equation.
+    for s in (-1 + 460j, -200, -1e6 + 1e6j):
+        with pytest.raises(PrecisionLoss):
+            riemann_zeta(s)
+    with pytest.raises(PrecisionLoss):
+        partition_zeta_family(-0.5 + 120j, 4)
+
+
+def test_non_finite_argument_is_a_domain_error():
+    for s in (float("nan"), complex(float("inf"), 0), complex(1, float("nan"))):
+        with pytest.raises(DomainError):
+            riemann_zeta(s)
+        for k in (0, 2):
+            with pytest.raises(DomainError):
+                partition_zeta_family(s, k)
 
 
 def test_zeta_parameter_validation():
@@ -256,11 +276,18 @@ def test_truncation_estimate_matches_reported_and_shrinks():
 
 
 def test_truncation_estimate_bounds_true_tail():
-    for k in (1, 2, 3):
-        for max_part in (50, 200):
-            got = direct_sum_truncated(2.5, k, max_part)
-            want = partition_zeta_family(2.5, k).value
-            assert abs(got.value - want) <= got.est_error, (k, max_part)
+    for s in (1.05, 1.1, 1.5, 2, 2.5, 1.3 + 5j):
+        for k in (1, 2, 3, 4):
+            for max_part in (10, 50, 100, 200, 1000):
+                got = direct_sum_truncated(s, k, max_part)
+                want = partition_zeta_family(s, k).value
+                assert abs(got.value - want) <= got.est_error, (s, k, max_part)
+
+
+def test_truncation_estimate_out_of_range_is_infinite():
+    assert truncation_error_estimate(1 + 1e-12, 40, 1000) == math.inf
+    with pytest.raises(PrecisionLoss):
+        direct_sum_truncated(1 + 1e-12, 40, 1000)
 
 
 # --- pole_order_estimate --------------------------------------------------------------

@@ -1,0 +1,140 @@
+"""The O(k^2) Newton recurrence behind both F_k routes, checked against the
+explicit partition-sum formula.
+
+The oracle below enumerates every partition of k and sums
+prod_j zeta(js)^{m_j} / (N(lambda) prod_j m_j!) term by term.  It lives only
+here: the package computes F_k through partitions.complete_homogeneous and
+never enumerates partitions for it.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from pzeta.errors import ExponentMismatch
+from pzeta.exact import (
+    PiPower,
+    partition_zeta_exact,
+    zeta2_family_coefficient,
+    zeta_even_exact,
+)
+from pzeta.numeric import partition_zeta_family, riemann_zeta
+from pzeta.partitions import complete_homogeneous, enumerate_partitions_of_size
+
+
+# --- oracle ------------------------------------------------------------------
+
+def _weight(lam) -> int:
+    # N(lambda) * m_1! * ... * m_k!
+    denom = lam.norm()
+    for mj in lam.multiplicities().values():
+        denom *= math.factorial(mj)
+    return denom
+
+
+def partition_sum_exact(m: int, k: int) -> PiPower:
+    # Each term is an integer ratio; one Fraction per term keeps this fast.
+    coeffs = {j: zeta_even_exact(2 * m * j).coeff for j in range(1, k + 1)}
+    total = Fraction(0)
+    for lam in enumerate_partitions_of_size(k):
+        num, den = 1, _weight(lam)
+        for j, mj in lam.multiplicities().items():
+            num *= coeffs[j].numerator ** mj
+            den *= coeffs[j].denominator ** mj
+        total += Fraction(num, den)
+    return PiPower(total, 2 * m * k)
+
+
+def partition_sum_numeric(s: complex, k: int) -> tuple[complex, float, float]:
+    """(value, propagated zeta error, sum of term magnitudes) from the
+    partition sum over the same zeta(js) values the package uses."""
+    zetas = {j: riemann_zeta(j * s) for j in range(1, k + 1)}
+    total, err, abs_sum = 0j, 0.0, 0.0
+    for lam in enumerate_partitions_of_size(k):
+        denom = _weight(lam)
+        v, v_abs, v_hi = 1 + 0j, 1.0, 1.0
+        for j, mj in lam.multiplicities().items():
+            z = zetas[j]
+            v *= z.value**mj
+            v_abs *= abs(z.value) ** mj
+            v_hi *= (abs(z.value) + z.est_error) ** mj
+        total += v / denom
+        err += (v_hi - v_abs) / denom
+        abs_sum += v_abs / denom
+    return total, err, abs_sum
+
+
+# --- complete_homogeneous ------------------------------------------------------
+
+def test_complete_homogeneous_small_cases_by_hand():
+    p = [Fraction(3), Fraction(5), Fraction(7)]
+    h = complete_homogeneous(p, Fraction(1))
+    assert h == [
+        Fraction(1),
+        Fraction(3),
+        (Fraction(3) ** 2 + 5) / 2,
+        Fraction(3) ** 3 / 6 + Fraction(3 * 5, 2) + Fraction(7, 3),
+    ]
+    assert complete_homogeneous([], 1 + 0j) == [1 + 0j]
+
+
+def test_complete_homogeneous_agrees_across_number_types():
+    rng = random.Random(2024)
+    p = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
+    exact = complete_homogeneous(p, Fraction(1))
+    floats = complete_homogeneous([float(x) for x in p], 1.0)
+    cplx = complete_homogeneous([complex(x) for x in p], 1 + 0j)
+    pis = complete_homogeneous([PiPower(x, 2 * (j + 1)) for j, x in enumerate(p)],
+                               PiPower(Fraction(1), 0))
+    for n in range(11):
+        assert pis[n] == PiPower(exact[n], 2 * n)
+        assert abs(floats[n] - float(exact[n])) <= 1e-12 * (1 + abs(float(exact[n])))
+        assert abs(cplx[n] - float(exact[n])) <= 1e-12 * (1 + abs(float(exact[n])))
+
+
+def test_complete_homogeneous_checks_pi_exponents():
+    # p_2 carries pi^2 where pi^4 belongs: h_2 adds a pi^4 and a pi^2 term.
+    with pytest.raises(ExponentMismatch):
+        complete_homogeneous([PiPower(Fraction(1), 2), PiPower(Fraction(1), 2)],
+                             PiPower(Fraction(1), 0))
+
+
+# --- exact route ------------------------------------------------------------------
+
+def test_exact_matches_partition_sum_oracle():
+    for m in (1, 2, 3):
+        for k in range(0, 26):
+            assert partition_zeta_exact(m, k) == partition_sum_exact(m, k), (m, k)
+
+
+def test_exact_closed_form_at_large_k():
+    assert partition_zeta_exact(1, 60) == zeta2_family_coefficient(60) * zeta_even_exact(120)
+
+
+# --- numeric route ----------------------------------------------------------------
+
+def test_numeric_matches_partition_sum_oracle():
+    rng = random.Random(1907)
+    for _ in range(60):
+        s = complex(rng.uniform(-0.5, 3), rng.uniform(-3, 3))
+        k = rng.randint(1, 12)
+        got = partition_zeta_family(s, k)
+        want, propagated, abs_sum = partition_sum_numeric(s, k)
+        assert abs(got.value - want) <= 1e-14 * abs_sum, (s, k)
+        # est_error is the propagated zeta error plus a rounding bound.
+        assert propagated * (1 - 1e-12) <= got.est_error, (s, k)
+        assert got.est_error <= propagated + 1e-12 * abs_sum, (s, k)
+
+
+def test_numeric_terms_used_counts_zeta_terms_and_products():
+    s, k = 2.5 + 1j, 7
+    zeta_terms = sum(riemann_zeta(j * s).terms_used for j in range(1, k + 1))
+    assert partition_zeta_family(s, k).terms_used == zeta_terms + k * (k + 1) // 2
+
+
+def test_numeric_large_k_matches_exact():
+    got = partition_zeta_family(4, 40)
+    want = partition_zeta_exact(2, 40).to_float()
+    assert abs(got.value - want) <= got.est_error + 1e-15 * abs(want)
