@@ -27,11 +27,9 @@ from .errors import (
     PrecisionLoss,
 )
 from .exact import (
-    BigRational,
     PiPower,
     bernoulli_numbers,
     format_rational,
-    parse_rational,
     partition_zeta_exact,
     zeta2_family_coefficient,
     zeta_even_exact,
@@ -55,8 +53,6 @@ from .partitions import (
     partition_from_multiplicities,
 )
 from .qseries import (
-    Polynomial,
-    RationalFunction,
     TruncatedSeries,
     faa_di_bruno_check,
     geometric_series,
@@ -76,14 +72,12 @@ __all__ = [
     "enumerate_partitions_fixed_length",
     "partition_from_multiplicities",
     # exact
-    "BigRational",
     "PiPower",
     "bernoulli_numbers",
     "zeta_even_exact",
     "partition_zeta_exact",
     "zeta2_family_coefficient",
     "format_rational",
-    "parse_rational",
     # numeric
     "EvalResult",
     "ProductForm",
@@ -97,8 +91,6 @@ __all__ = [
     "PRECISION_LOSS_THRESHOLD",
     # qseries
     "TruncatedSeries",
-    "Polynomial",
-    "RationalFunction",
     "series_exp",
     "geometric_series",
     "macmahon_lhs",

@@ -17,19 +17,11 @@ from functools import lru_cache
 from .errors import ExponentMismatch
 from .partitions import complete_homogeneous
 
-# Alias documenting the exact-rational contract of this module's interfaces.
-BigRational = Fraction
-
 
 def format_rational(value: Fraction | int) -> str:
     """Serialize a rational as "num/den" in lowest terms, e.g. "-7/360"."""
     q = Fraction(value)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer string) into an exact rational."""
-    return Fraction(text.strip())
 
 
 @dataclass(frozen=True)
@@ -79,24 +71,49 @@ class PiPower:
         return {"coeff": format_rational(self.coeff), "pi_power": self.exponent}
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+def _next_tangent_column(column: list[int]) -> list[int]:
+    """Column n+1 of Brent and Harvey's tangent-number triangle from column n.
+
+    Their in-place algorithm ("Fast computation of Bernoulli, Tangent and
+    Secant numbers", 2011) sets T[j] = (j-1)! and then, in pass k = 2, 3, ...,
+    T[j] = (j-k) T[j-1] + (j-k+2) T[j] for j >= k.  Entry k-1 of column n
+    holds T[n] after pass k, so the last entry is the tangent number T_n,
+    and the next column needs only this one: the table grows one tangent
+    number at a time, in O(n) integer products.  Column 1 is [1].
+    """
+    n = len(column)
+    if n == 0:
+        return [1]
+    t = n * column[0]  # pass 1: T[n+1] = n!
+    out = [t]
+    for k in range(2, n + 1):
+        t = (n + 1 - k) * column[k - 1] + (n + 3 - k) * t
+        out.append(t)
+    out.append(2 * t)  # pass n+1 gives T[n] weight 0
+    return out
+
+
+_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_tangent_column: list[int] = []  # column m of the triangle once B_2m is cached
 _bernoulli_lock = threading.Lock()
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """Bernoulli numbers B_0..B_n_max, convention B_1 = -1/2.
 
-    Computed from the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0
-    and cached for the lifetime of the process (the cache is lock-guarded,
-    so concurrent callers are safe).
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the integer tangent
+    numbers T_m, and B_n = 0 for odd n >= 3.  Cached for the lifetime of the
+    process (the cache is lock-guarded, so concurrent callers are safe).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     with _bernoulli_lock:
         while len(_bernoulli_cache) <= n_max:
-            n = len(_bernoulli_cache)
-            acc = sum(math.comb(n + 1, j) * _bernoulli_cache[j] for j in range(n))
-            _bernoulli_cache.append(-acc / (n + 1))
+            _tangent_column[:] = _next_tangent_column(_tangent_column)
+            m = len(_tangent_column)
+            t = _tangent_column[-1] if m % 2 else -_tangent_column[-1]
+            four_m = 4**m
+            _bernoulli_cache.extend((Fraction(2 * m * t, four_m * (four_m - 1)), Fraction(0)))
         return _bernoulli_cache[: n_max + 1]
 
 

@@ -316,7 +316,8 @@ class ProductForm:
     """Which part values a restricted Euler product runs over.
 
     kind "subset": factor 1/(1 - n^-s) for every n admitted by the
-    predicate (1 must not be admitted, or the product diverges);
+    predicate, which is called with each int n and may return any truthy
+    value (1 must not be admitted, or the product diverges);
     kind "not_one": every n >= 2;
     kind "distinct": factor (1 + n^-s) for every n >= 1, the product over
     partitions with pairwise distinct parts.
@@ -371,7 +372,7 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
         mask = n >= 2
     elif form.kind == "subset":
         mask = np.fromiter(
-            (bool(form.admits(int(v))) for v in n), dtype=bool, count=max_factor)
+            map(form.admits, range(1, max_factor + 1)), dtype=bool, count=max_factor)
     else:
         raise ValueError(f"unknown product form kind {form.kind!r}")
     base = n[mask].astype(np.float64) ** (-s)

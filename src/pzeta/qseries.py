@@ -1,4 +1,4 @@
-"""Exact truncated power series and rational functions over Fraction.
+"""Exact q-series checks of the identities behind the explicit formula.
 
 Provides the machinery to machine-verify two identities: the partial
 fraction decomposition of the exact-length partition generating function
@@ -14,13 +14,21 @@ and the exponential partition identity
 
 plus the finite restricted generating function in z whose z^k coefficient
 reproduces the truncated direct sum over bounded partitions.
+
+The decomposition is checked on plain int coefficient lists.  With
+z_lambda = N(lambda) m_1!...m_k!, the weight k!/z_lambda counts the
+permutations of cycle type lambda, so it is an integer, and scaling both
+sides by k! leaves only integer polynomials.  Every step multiplies a
+polynomial by (1 - q^j) or divides a truncated series by it, each in
+O(length) integer additions.  The Faa di Bruno check and the public
+TruncatedSeries keep Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DivergenceRegion, NonzeroConstantTerm
 from .exact import format_rational
@@ -59,9 +67,6 @@ class TruncatedSeries:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def _aligned(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"series orders differ: {self.order} vs {other.order}")
@@ -95,7 +100,7 @@ class TruncatedSeries:
 
     def __pow__(self, e: int) -> "TruncatedSeries":
         if e < 0:
-            raise ValueError("negative powers not supported; use reciprocal")
+            raise ValueError("negative powers not supported")
         out = TruncatedSeries([1], self.order)
         for _ in range(e):
             out = out * self
@@ -106,20 +111,6 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("shift must be nonnegative")
         return TruncatedSeries([Fraction(0)] * k + self.coeffs, self.order)
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse modulo q^(order+1); the constant term must
-        be nonzero."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("reciprocal requires a nonzero constant term")
-        inv0 = Fraction(1) / c0
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = inv0
-        for n in range(1, self.order + 1):
-            acc = sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
-            out[n] = -inv0 * acc
-        return TruncatedSeries(out)
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
@@ -147,116 +138,39 @@ def geometric_series(j: int, order: int) -> TruncatedSeries:
     return TruncatedSeries([1 if n % j == 0 else 0 for n in range(order + 1)])
 
 
-class Polynomial:
-    """Dense exact polynomial, coefficient of q^n at index n.
-
-    The zero polynomial has an empty coefficient list.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for jj, b in enumerate(other.coeffs):
-                if b:
-                    out[i + jj] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        out = Polynomial([1])
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def to_json(self) -> list:
-        return [format_rational(c) for c in (self.coeffs or [Fraction(0)])]
-
-    def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
+def _times_one_minus_q_power(c: list[int], j: int) -> list[int]:
+    """The polynomial c(q) (1 - q^j), j degrees longer than c."""
+    out = c + [0] * j
+    for n, cn in enumerate(c):
+        out[n + j] -= cn
+    return out
 
 
-class RationalFunction:
-    """Quotient of two exact polynomials; the denominator must be nonzero.
-
-    Stored unreduced; equality is decided by exact cross multiplication, so
-    equivalent fractions over different denominators compare equal.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if den.is_zero():
-            raise ValueError("denominator must be nonzero")
-        self.num = num
-        self.den = den
-
-    def equals(self, other: "RationalFunction") -> bool:
-        return self.num * other.den == other.num * self.den
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+def _divide_one_minus_q_power(c: list[int], j: int) -> None:
+    """Divide the truncated series c(q) by (1 - q^j) in place, modulo
+    q^len(c)."""
+    for n in range(j, len(c)):
+        c[n] += c[n - j]
 
 
-def one_minus_q_power(j: int) -> Polynomial:
-    """The polynomial 1 - q^j."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return Polynomial([1] + [0] * (j - 1) + [-1])
+def _cycle_types(k: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """For each partition lambda of k: the number k!/z_lambda of permutations
+    of cycle type lambda, z_lambda = N(lambda) m_1!...m_k!, together with the
+    multiplicity map."""
+    k_factorial = math.factorial(k)
+    for lam in enumerate_partitions_of_size(k):
+        mult = lam.multiplicities()
+        z = lam.norm()
+        for mj in mult.values():
+            z *= math.factorial(mj)
+        yield k_factorial // z, mult
 
 
-def _partition_weight(lam) -> tuple[Fraction, dict[int, int]]:
-    # 1 / (N(lambda) * m_1! * ... * m_k!) together with the multiplicity map.
-    mult = lam.multiplicities()
-    denom = lam.norm()
-    for mj in mult.values():
-        denom *= math.factorial(mj)
-    return Fraction(1, denom), mult
+def _check_macmahon_args(k: int, order: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if order < k:
+        raise ValueError("order must be >= k")
 
 
 def macmahon_lhs(k: int, order: int) -> TruncatedSeries:
@@ -264,34 +178,34 @@ def macmahon_lhs(k: int, order: int) -> TruncatedSeries:
 
     Its q^n coefficient counts the partitions of n with exactly k parts.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if order < k:
-        raise ValueError("order must be >= k")
-    prod = TruncatedSeries([1], order)
+    _check_macmahon_args(k, order)
+    c = [0] * (order + 1)
+    c[k] = 1
     for j in range(1, k + 1):
-        prod = prod * geometric_series(j, order)
-    return prod.shift(k)
+        _divide_one_minus_q_power(c, j)
+    return TruncatedSeries(c)
 
 
 def macmahon_rhs(k: int, order: int) -> TruncatedSeries:
     """Partition-indexed partial-fraction side of the same generating
     function: sum over partitions lambda of k of
     q^k / (N(lambda) m_1!...m_k! (1-q)^{m_1} ... (1-q^k)^{m_k}),
-    expanded modulo q^(order+1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if order < k:
-        raise ValueError("order must be >= k")
-    geoms = {j: geometric_series(j, order) for j in range(1, k + 1)}
-    total = TruncatedSeries([0], order)
-    for lam in enumerate_partitions_of_size(k):
-        weight, mult = _partition_weight(lam)
-        term = TruncatedSeries([1], order)
+    expanded modulo q^(order+1).
+
+    Each term is summed in integers scaled by k!, with weight k!/z_lambda,
+    and the total is divided by k! once at the end.
+    """
+    _check_macmahon_args(k, order)
+    total = [0] * (order + 1)
+    for count, mult in _cycle_types(k):
+        term = [0] * (order + 1)
+        term[k] = count
         for j, mj in mult.items():
-            term = term * geoms[j] ** mj
-        total = total + term.shift(k) * weight
-    return total
+            for _ in range(mj):
+                _divide_one_minus_q_power(term, j)
+        total = [a + b for a, b in zip(total, term)]
+    k_factorial = math.factorial(k)
+    return TruncatedSeries([Fraction(c, k_factorial) for c in total])
 
 
 def macmahon_exact_identity(k: int) -> bool:
@@ -301,38 +215,33 @@ def macmahon_exact_identity(k: int) -> bool:
             1 / (N(lambda) m_1!...m_k! prod_j (1-q^j)^{m_j})
 
     by putting the right side over the common denominator
-    prod_j (1-q^j)^{floor(k/j)} and cross-multiplying.  Returns True when
-    the two sides agree identically.
+    D = prod_j (1-q^j)^{floor(k/j)}, scaling by k! and cross-multiplying,
+    all in integer polynomials:
+
+        sum_lambda (k!/z_lambda) prod_j (1-q^j)^{floor(k/j)-m_j}
+            * prod_j (1-q^j) == k! D.
+
+    Returns True when the two sides agree identically.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = {j: one_minus_q_power(j) for j in range(1, k + 1)}
-    # Power tables (1-q^j)^e for e up to floor(k/j), reused across terms.
-    pows: dict[int, list[Polynomial]] = {}
-    for j in range(1, k + 1):
-        tab = [Polynomial([1])]
-        for _ in range(k // j):
-            tab.append(tab[-1] * base[j])
-        pows[j] = tab
-
-    lhs_den = Polynomial([1])
-    common_den = Polynomial([1])
-    for j in range(1, k + 1):
-        lhs_den = lhs_den * base[j]
-        common_den = common_den * pows[j][k // j]
-    lhs = RationalFunction(Polynomial([1]), lhs_den)
-
-    acc = Polynomial()
-    for lam in enumerate_partitions_of_size(k):
-        weight, mult = _partition_weight(lam)
-        term = Polynomial([1])
+    # Every term has degree sum_j j floor(k/j) - k, so all share one length.
+    acc: list[int] = []
+    for count, mult in _cycle_types(k):
+        term = [count]
         for j in range(1, k + 1):
-            e = k // j - mult.get(j, 0)
-            if e:
-                term = term * pows[j][e]
-        acc = acc + term * weight
-    rhs = RationalFunction(acc, common_den)
-    return lhs.equals(rhs)
+            for _ in range(k // j - mult.get(j, 0)):
+                term = _times_one_minus_q_power(term, j)
+        acc = [a + b for a, b in zip(acc, term)] if acc else term
+    for j in range(1, k + 1):
+        acc = _times_one_minus_q_power(acc, j)
+
+    rhs = [math.factorial(k)]
+    for j in range(1, k + 1):
+        for _ in range(k // j):
+            rhs = _times_one_minus_q_power(rhs, j)
+    # The left side carries k(k-1)/2 extra degrees, which must all vanish.
+    return acc[: len(rhs)] == rhs and not any(acc[len(rhs):])
 
 
 def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:

@@ -1,5 +1,5 @@
-"""Exact module: Bernoulli numbers against an independent Akiyama-Tanigawa
-oracle, even zeta values, the fixed-length family at even arguments, and the
+"""Exact module: Bernoulli numbers against independent Akiyama-Tanigawa and
+defining-recurrence oracles, even zeta values, the fixed-length family at even arguments, and the
 closed-form s=2 coefficients."""
 
 import math
@@ -14,7 +14,6 @@ from pzeta.exact import (
     PiPower,
     bernoulli_numbers,
     format_rational,
-    parse_rational,
     partition_zeta_exact,
     zeta2_family_coefficient,
     zeta_even_exact,
@@ -33,6 +32,15 @@ def akiyama_tanigawa(n: int) -> Fraction:
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
     return (-1) ** n * row[0]
+
+
+def bernoulli_by_defining_recurrence(n_max: int) -> list[Fraction]:
+    # sum_{j=0}^{n} C(n+1, j) B_j = 0 over Fractions: O(n^2) rational terms.
+    bs = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = sum(math.comb(n + 1, j) * bs[j] for j in range(n))
+        bs.append(-acc / (n + 1))
+    return bs
 
 
 # --- bernoulli_numbers ---------------------------------------------------------
@@ -57,6 +65,13 @@ def test_bernoulli_matches_akiyama_tanigawa_oracle():
     bs = bernoulli_numbers(40)
     for n in range(41):
         assert bs[n] == akiyama_tanigawa(n), n
+
+
+def test_bernoulli_matches_defining_recurrence_oracle():
+    bs = bernoulli_numbers(300)
+    assert bs == bernoulli_by_defining_recurrence(300)
+    assert bs[1] == Fraction(-1, 2)
+    assert all(bs[n] == 0 for n in range(3, 301, 2))
 
 
 def test_bernoulli_odd_vanish():
@@ -137,7 +152,7 @@ def test_pi_power_json():
 
 def test_format_and_parse_rational_round_trip():
     for q in (Fraction(7, 360), Fraction(-691, 2730), Fraction(5), Fraction(0)):
-        assert parse_rational(format_rational(q)) == q
+        assert Fraction(format_rational(q)) == q
     assert format_rational(Fraction(7, 360)) == "7/360"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
 

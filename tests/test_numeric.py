@@ -367,6 +367,26 @@ def test_product_counts_admitted_factors():
     form = ProductForm.subset_parts(lambda n: n % 3 == 0)
     got = euler_product_eval(form, 2, 30)
     assert got.terms_used == 10
+    assert euler_product_eval(form, 2, 1000).terms_used == 333
+
+
+def test_subset_predicate_receives_plain_ints():
+    # A predicate that admits only Python ints would admit nothing if it
+    # were handed numpy scalars.
+    strict = euler_product_eval(
+        ProductForm.subset_parts(lambda n: type(n) is int and n % 2 == 0), 2, 1000)
+    plain = euler_product_eval(ProductForm.subset_parts(lambda n: n % 2 == 0), 2, 1000)
+    assert strict.terms_used == 500
+    assert strict == plain
+
+
+def test_subset_predicate_truthy_returns_are_honoured():
+    want = euler_product_eval(ProductForm.subset_parts(lambda n: n % 3 == 0), 2, 1000)
+    for admits in (lambda n: n if n % 3 == 0 else 0,
+                   lambda n: "yes" if n % 3 == 0 else "",
+                   lambda n: [n] if n % 3 == 0 else None):
+        got = euler_product_eval(ProductForm.subset_parts(admits), 2, 1000)
+        assert got == want
 
 
 # --- EvalResult serialization ----------------------------------------------------

@@ -1,25 +1,25 @@
 """Exact series arithmetic and the q-series identity verifiers, pinned
-against brute-force partition counting and the literal bounded enumeration."""
+against brute-force partition counting, permutation counting and the literal
+bounded enumeration."""
 
-import cmath
+import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from pzeta import qseries
 from pzeta.errors import DivergenceRegion, NonzeroConstantTerm
 from pzeta.partitions import enumerate_partitions_fixed_length
 from pzeta.qseries import (
-    Polynomial,
-    RationalFunction,
     TruncatedSeries,
     faa_di_bruno_check,
     geometric_series,
     macmahon_exact_identity,
     macmahon_lhs,
     macmahon_rhs,
-    one_minus_q_power,
     restricted_genfun_coeffs,
     series_exp,
 )
@@ -39,6 +39,31 @@ def count_exact_parts(n: int, k: int, cap: int | None = None) -> int:
     for first in range(1, cap + 1):
         total += count_exact_parts(n - first, k - 1, first)
     return total
+
+
+@lru_cache(maxsize=None)
+def partitions_into_k_parts(n: int, k: int) -> int:
+    # p(n, k) = p(n-1, k-1) + p(n-k, k): remove a part equal to 1, or
+    # subtract 1 from each of the k parts.
+    if n == 0 and k == 0:
+        return 1
+    if n <= 0 or k <= 0:
+        return 0
+    return partitions_into_k_parts(n - 1, k - 1) + partitions_into_k_parts(n - k, k)
+
+
+def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    # Sorted cycle lengths of a permutation of range(len(perm)).
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 # --- TruncatedSeries ----------------------------------------------------------
@@ -75,26 +100,30 @@ def test_series_shift():
     assert t.shift(0).coeffs == t.coeffs
 
 
-def test_reciprocal_small_case():
-    # 1/(1-q) is the geometric series.
-    t = TruncatedSeries([1, -1], order=6)
-    assert t.reciprocal() == geometric_series(1, 6)
+# --- integer (1 - q^j) steps -----------------------------------------------------
+
+def test_divide_one_minus_q_power_gives_geometric_series():
+    # 1/(1-q^j) is the geometric series in q^j.
+    for j in (1, 2, 5):
+        c = [1] + [0] * 12
+        qseries._divide_one_minus_q_power(c, j)
+        assert TruncatedSeries(c) == geometric_series(j, 12)
 
 
-def test_reciprocal_requires_unit_constant():
-    with pytest.raises(ValueError):
-        TruncatedSeries([0, 1], order=3).reciprocal()
+def test_times_one_minus_q_power_small_case():
+    assert qseries._times_one_minus_q_power([1], 1) == [1, -1]
+    assert qseries._times_one_minus_q_power([1, 2], 3) == [1, 2, 0, -1, -2]
 
 
-def test_reciprocal_property_randomized():
+def test_divide_undoes_times_one_minus_q_power_randomized():
     rng = random.Random(404)
-    one = TruncatedSeries([1], order=10)
     for _ in range(30):
-        coeffs = [Fraction(rng.randint(1, 9))] + [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)
-        ]
-        t = TruncatedSeries(coeffs)
-        assert t * t.reciprocal() == one
+        c = [rng.randint(-9, 9) for _ in range(11)]
+        j = rng.randint(1, 6)
+        prod = qseries._times_one_minus_q_power(c, j)
+        assert len(prod) == len(c) + j
+        qseries._divide_one_minus_q_power(prod, j)
+        assert prod == c + [0] * j
 
 
 def test_series_json():
@@ -204,8 +233,14 @@ def test_lhs_matches_brute_force_counts():
             assert series[n] == count_exact_parts(n, k), (k, n)
 
 
+def test_lhs_matches_independent_recurrence():
+    for k in range(1, 13):
+        series = macmahon_lhs(k, 60)
+        assert series.coeffs == [partitions_into_k_parts(n, k) for n in range(61)], k
+
+
 def test_rhs_equals_lhs_coefficientwise():
-    for k in range(1, 7):
+    for k in range(1, 13):
         order = 2 * k + 10
         assert macmahon_lhs(k, order) == macmahon_rhs(k, order), k
 
@@ -218,32 +253,53 @@ def test_macmahon_order_must_cover_k():
 
 
 def test_exact_identity_small_k():
-    for k in range(1, 9):
+    for k in range(1, 17):
         assert macmahon_exact_identity(k), k
 
 
 def test_exact_identity_k2_by_hand():
-    # 1/((1-q)(1-q^2)) == 1/(2(1-q)^2) + 1/(2(1-q^2)) via cross multiplication.
-    one = Polynomial([1])
-    p1 = one_minus_q_power(1)
-    p2 = one_minus_q_power(2)
-    lhs = RationalFunction(one, p1 * p2)
-    rhs = RationalFunction(p2 * Fraction(1, 2) + p1 * p1 * Fraction(1, 2), p1 * p1 * p2)
-    assert lhs.equals(rhs)
+    # 1/((1-q)(1-q^2)) == 1/(2(1-q)^2) + 1/(2(1-q^2)).  Times 2 and over the
+    # common denominator (1-q)^2 (1-q^2), the right side's numerator is
+    # (1-q^2) + (1-q)^2; cross-multiplied against 2 / ((1-q)(1-q^2)):
+    times = qseries._times_one_minus_q_power
+    num = [a + b for a, b in zip(times([1], 2), times(times([1], 1), 1))]
+    assert num == [2, -2, 0]
+    left = times(times(num, 1), 2)
+    right = times(times(times([2], 1), 1), 2)
+    assert left == right + [0]
+    assert sorted(qseries._cycle_types(2), key=str) == [(1, {1: 2}), (1, {2: 1})]
+    assert macmahon_exact_identity(2)
 
 
-def test_rational_function_equality_cross_multiplies():
-    # q/(q-q^2) equals 1/(1-q) without any reduction.
-    a = RationalFunction(Polynomial([0, 1]), Polynomial([0, 1, -1]))
-    b = RationalFunction(Polynomial([1]), Polynomial([1, -1]))
-    assert a.equals(b)
-    c = RationalFunction(Polynomial([1]), Polynomial([1, 1]))
-    assert not a.equals(c)
+def test_cycle_type_counts_match_permutations():
+    # k!/z_lambda against a brute-force count over all permutations of k.
+    for k in range(1, 7):
+        counts: dict[tuple[int, ...], int] = {}
+        for perm in itertools.permutations(range(k)):
+            key = cycle_type(perm)
+            counts[key] = counts.get(key, 0) + 1
+        got = {}
+        for count, mult in qseries._cycle_types(k):
+            key = tuple(sorted((j for j, mj in mult.items() for _ in range(mj)), reverse=True))
+            got[key] = count
+        assert got == counts, k
+        assert sum(got.values()) == math.factorial(k)
 
 
-def test_rational_function_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        RationalFunction(Polynomial([1]), Polynomial([]))
+def test_wrong_class_size_breaks_both_modes(monkeypatch):
+    # One partition's weight k!/z_lambda off by one must fail the exact
+    # identity and the coefficientwise series check alike.
+    true_cycle_types = qseries._cycle_types
+
+    def one_weight_wrong(k):
+        for i, (count, mult) in enumerate(true_cycle_types(k)):
+            yield (count + 1 if i == 1 else count), mult
+
+    monkeypatch.setattr(qseries, "_cycle_types", one_weight_wrong)
+    for k in (2, 5, 9):
+        order = 2 * k + 10
+        assert not macmahon_exact_identity(k), k
+        assert macmahon_lhs(k, order) != macmahon_rhs(k, order), k
 
 
 def test_length_conjugation_bijection():
