@@ -8,7 +8,12 @@ sums over bounded partitions, restricted Euler products, and pole orders.
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error estimate; zeta results whose
 estimate exceeds PRECISION_LOSS_THRESHOLD are not returned but raised as
-PrecisionLoss with the untrusted value attached.
+PrecisionLoss with the untrusted value attached.  Non-finite s raises
+DomainError on every public entry.
+
+numpy is imported only inside the three array routines,
+direct_sum_truncated, truncation_error_estimate and euler_product_eval, so
+importing the package and the zeta, F_k and pole-order paths never load it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from .errors import (
     DivergenceRegion,
@@ -96,10 +100,12 @@ def _sinpi(z: complex) -> complex:
     return inner if n % 2 == 0 else -inner
 
 
-def _em_factors(count: int) -> list[float]:
-    # B_{2r} / (2r)! as floats for r = 0..count-1 (index by r).
+@lru_cache
+def _em_factors(count: int) -> tuple[float, ...]:
+    # B_{2r} / (2r)! as floats for r = 0..count-1 (index by r); a tuple,
+    # because every caller with the same depth shares the cached table.
     bs = bernoulli_numbers(2 * count)
-    return [float(bs[2 * r]) / math.factorial(2 * r) for r in range(count)]
+    return tuple(float(bs[2 * r]) / math.factorial(2 * r) for r in range(count))
 
 
 def _zeta_euler_maclaurin(s: complex, n_terms: int | None, corrections: int | None) -> EvalResult:
@@ -253,7 +259,9 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
     on the distance to the full length-k sum.
     """
-    s = complex(s)
+    import numpy as np
+
+    s = _finite_arg(s)
     est = truncation_error_estimate(s, k, max_part)
     n = np.arange(1, max_part + 1, dtype=np.float64)
     w = n ** (-s)
@@ -269,7 +277,9 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
     partition's largest part exceeds M, and T = M^(1-sigma)/(sigma-1) bounds
     those; the other parts add at most zeta(sigma) <= zeta_M(sigma) + T each,
     zeta_M the sum of n^-sigma to M.  Infinite past the double range."""
-    sigma = complex(s).real
+    import numpy as np
+
+    sigma = _finite_arg(s).real
     if sigma <= 1:
         raise DivergenceRegion(f"direct sum requires Re(s) > 1, got {sigma}")
     if k < 1 or max_part < 1:
@@ -341,17 +351,6 @@ class ProductForm:
         return cls("distinct")
 
 
-def _log1p_complex(x: np.ndarray) -> np.ndarray:
-    # numpy's complex log1p is inaccurate for tiny arguments; switch to the
-    # three-term series below 1e-4, where its truncation error is < 1e-16.
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = xs * (1 - xs * (0.5 - xs / 3))
-    out[~small] = np.log(1 + x[~small])
-    return out
-
-
 def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalResult:
     """Evaluate a restricted Euler product over parts up to max_factor.
 
@@ -359,7 +358,9 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     the admitted density near the truncation point times the integral bound
     max_factor^(1-s)/(s-1).  Requires Re(s) > 1.
     """
-    s = complex(s)
+    import numpy as np
+
+    s = _finite_arg(s)
     sigma = s.real
     if sigma <= 1:
         raise DivergenceRegion(f"the product requires Re(s) > 1, got {sigma}")
@@ -375,12 +376,18 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
             map(form.admits, range(1, max_factor + 1)), dtype=bool, count=max_factor)
     else:
         raise ValueError(f"unknown product form kind {form.kind!r}")
+    # log(1 + x) with x = n^-s for distinct parts, else -log(1 - n^-s).
+    # numpy's complex log1p is inaccurate for tiny arguments; switch to the
+    # three-term series below 1e-4, where its truncation error is < 1e-16.
+    negate = form.kind != "distinct"
     base = n[mask].astype(np.float64) ** (-s)
-    if form.kind == "distinct":
-        logs = _log1p_complex(base)
-    else:
-        logs = -_log1p_complex(-base)
-    log_sum = complex(np.sum(logs))
+    x = -base if negate else base
+    logs = np.empty_like(x)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    logs[small] = xs * (1 - xs * (0.5 - xs / 3))
+    logs[~small] = np.log(1 + x[~small])
+    log_sum = complex(np.sum(-logs if negate else logs))
     # Density of admitted parts over the top half of the range; the tail
     # correction extrapolates it past the truncation point (heuristic).
     window = mask[max_factor // 2 :]

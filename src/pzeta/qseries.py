@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DivergenceRegion, NonzeroConstantTerm
 from .exact import format_rational
+from .numeric import _finite_arg
 from .partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
@@ -277,9 +278,9 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     The z^k coefficient equals the direct sum of N(lambda)^(-s) over the
     partitions with exactly k parts, all parts <= max_part: the same finite
     sum the truncated oracle computes, reached through a different route.
-    Requires Re(s) > 1.
+    Requires Re(s) > 1; non-finite s raises DomainError.
     """
-    s = complex(s)
+    s = _finite_arg(s)
     if s.real <= 1:
         raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
     if max_part < 1:

@@ -257,3 +257,46 @@ def test_python_dash_m_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"coeff":"7/360","pi_power":4}\n'
+
+
+# --- numpy stays off the import path ---------------------------------------------------
+# Only direct_sum_truncated, truncation_error_estimate and euler_product_eval
+# import numpy, so only the oracle and euler-product subcommands load it.  Each
+# check runs in a fresh interpreter, where nothing else has imported numpy.
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+def test_import_does_not_load_numpy():
+    proc = run_python("import pzeta, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--s", "2.5+1i", "--k", "3"],
+    ["exact", "--m", "1", "--k", "2"],
+    ["poles", "--k", "3"],
+    ["macmahon", "--k", "4"],
+    ["faadibruno", "--order", "6"],
+    ["genfun", "--s", "2", "--max-part", "5", "--k-max", "3"],
+], ids=lambda argv: argv[0])
+def test_subcommand_does_not_load_numpy(argv):
+    proc = run_python(
+        "import sys\n"
+        "from pzeta import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert 'numpy' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--s", "2", "--k", "2", "--max-part", "10"],
+    ["euler-product", "--form", "distinct", "--s", "2", "--max-factor", "100"],
+], ids=lambda argv: argv[0])
+def test_array_subcommands_still_run(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pzeta", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "value" in json.loads(proc.stdout)

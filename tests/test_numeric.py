@@ -7,6 +7,7 @@ high-precision engine (mpmath at 30 digits) and pasted in as literals.
 
 import cmath
 import math
+import warnings
 
 import pytest
 
@@ -19,9 +20,10 @@ from pzeta.errors import (
     PoleProximity,
     PrecisionLoss,
 )
-from pzeta.exact import partition_zeta_exact, zeta_even_exact
+from pzeta.exact import bernoulli_numbers, partition_zeta_exact, zeta_even_exact
 from pzeta.numeric import (
     EvalResult,
+    _em_factors,
     ProductForm,
     direct_sum_truncated,
     euler_product_eval,
@@ -144,6 +146,32 @@ def test_non_finite_argument_is_a_domain_error():
         for k in (0, 2):
             with pytest.raises(DomainError):
                 partition_zeta_family(s, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: direct_sum_truncated(s, 2, 10),
+    lambda s: truncation_error_estimate(s, 2, 10),
+    lambda s: euler_product_eval(ProductForm.distinct_parts(), s, 100),
+], ids=["direct_sum_truncated", "truncation_error_estimate", "euler_product_eval"])
+def test_array_routines_reject_non_finite_s(call):
+    # Rejected before any array is built: no numpy RuntimeWarning, no
+    # PrecisionLoss from a NaN result.
+    for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                call(s)
+        assert not isinstance(info.value, PrecisionLoss), s
+
+
+def test_em_factor_table_is_shared_and_exact():
+    for depth in range(1, 21):
+        table = _em_factors(depth)
+        assert isinstance(table, tuple)
+        assert _em_factors(depth) is table
+        bs = bernoulli_numbers(2 * depth)
+        assert table == tuple(
+            float(bs[2 * r]) / math.factorial(2 * r) for r in range(depth))
 
 
 def test_zeta_parameter_validation():

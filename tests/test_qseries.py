@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from pzeta import qseries
-from pzeta.errors import DivergenceRegion, NonzeroConstantTerm
+from pzeta.errors import DivergenceRegion, DomainError, NonzeroConstantTerm
 from pzeta.partitions import enumerate_partitions_fixed_length
 from pzeta.qseries import (
     TruncatedSeries,
@@ -348,3 +348,10 @@ def test_genfun_requires_convergent_s():
         restricted_genfun_coeffs(1, 10, 2)
     with pytest.raises(DivergenceRegion):
         restricted_genfun_coeffs(0.5 + 2j, 10, 2)
+
+
+def test_genfun_rejects_non_finite_s():
+    # NaN used to come back as coefficients, 2 + inf i as ZeroDivisionError.
+    for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1)):
+        with pytest.raises(DomainError):
+            restricted_genfun_coeffs(s, 10, 3)
