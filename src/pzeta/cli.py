@@ -286,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = handler(args)
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except DomainError as exc:
+    except (DomainError, ModuleNotFoundError) as exc:
+        # ModuleNotFoundError: oracle and euler-product need numpy.
         _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt)
         return 1
     except ValueError as exc:

@@ -29,7 +29,7 @@ class DivergenceRegion(DomainError):
 
 
 class PrecisionLoss(DomainError):
-    """Heuristic error bound exceeded the trust threshold.
+    """An error bound exceeded the trust threshold.
 
     The untrusted result, when one exists, is attached as ``partial``.
     """

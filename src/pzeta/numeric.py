@@ -6,10 +6,13 @@ zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, truncated direct
 sums over bounded partitions, restricted Euler products, and pole orders.
 
 All floating point is double precision.  Every evaluation returns an
-EvalResult carrying an absolute error estimate; zeta results whose
-estimate exceeds PRECISION_LOSS_THRESHOLD are not returned but raised as
-PrecisionLoss with the untrusted value attached.  Non-finite s raises
-DomainError on every public entry.
+EvalResult carrying an absolute error bound (heuristic only for the Euler
+products' tail).  For zeta it is the Euler-Maclaurin remainder bound plus
+a derived rounding bound (and, on the reflected branch, the Gamma
+factor's error); zeta results whose bound exceeds
+PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss
+with the untrusted value attached.  Non-finite s raises DomainError on
+every public entry.
 
 numpy is imported only inside the three array routines,
 direct_sum_truncated, truncation_error_estimate and euler_product_eval, so
@@ -38,16 +41,15 @@ from .partitions import complete_homogeneous
 
 #: Half-width of the neighbourhood around a pole treated as "at the pole".
 POLE_EXCLUSION_RADIUS = 1e-9
-#: Heuristic error bound above which a result is refused.
+#: A zeta result whose est_error bound exceeds this is refused.
 PRECISION_LOSS_THRESHOLD = 1e-8
-#: Default Euler-Maclaurin correction depth.
-DEFAULT_CORRECTIONS = 12
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A complex value, a heuristic absolute error estimate, and the number
-    of summation terms consumed producing it."""
+    """A complex value, a bound on its absolute error (heuristic only for
+    euler_product_eval's tail), and the number of summation terms consumed
+    producing it."""
 
     value: complex
     est_error: float
@@ -76,8 +78,8 @@ def _finite_arg(s: complex) -> complex:
 
 
 def _trusted(result: EvalResult) -> EvalResult:
-    # Zeta evaluations additionally refuse results whose heuristic error
-    # bound exceeds the trust threshold.  Truncation-controlled operations
+    # Zeta evaluations additionally refuse results whose error bound
+    # exceeds the trust threshold.  Truncation-controlled operations
     # (direct sums, Euler products) do not: their est_error is a tail bound
     # the caller steers explicitly via the truncation parameter.
     _finite(result)
@@ -108,30 +110,107 @@ def _em_factors(count: int) -> tuple[float, ...]:
     return tuple(float(bs[2 * r]) / math.factorial(2 * r) for r in range(count))
 
 
+#: Unit roundoff of a double.
+_U = 2.0**-53
+#: Absolute target for the Euler-Maclaurin remainder bound.
+_LOG_EM_TARGET = math.log(1e-16)
+#: Deepest correction depth; float(B_2r) / (2r)! converts while (2r)! < 2^1024.
+_MAX_CORRECTIONS = 80
+#: Cost of one correction depth in partial-sum terms.  The correction step
+#: costs about two terms and the planner's step about three; call times
+#: with weights 4 and 8 agree within noise, so the value is not critical.
+_CORRECTION_COST = 4
+_LOG_4 = math.log(4.0)
+_LOG_4PI2 = 2 * math.log(2 * math.pi)
+
+
+def _em_plan(s: complex, n_terms: int | None, corrections: int | None) -> tuple[int, int, float]:
+    """Cutoff N, depth M and the bound on the Euler-Maclaurin remainder
+    after M corrections (Johansson, arXiv:1309.2877, Theorem 1):
+
+        |R| <= 4 |(s)_2M| / ((2 pi)^2M (sigma + 2M - 1)) * N^(1 - sigma - 2M),
+
+    valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  With
+    both free, the cheapest pair (cost N + 4M) whose bound meets 1e-16;
+    with N fixed, the first M that meets it (else the least bound); with M
+    fixed, the least N that meets it.  Depths are scanned upwards and the
+    scan stops once the cost starts rising."""
+    sigma, t2 = s.real, s.imag * s.imag
+    log_n = math.log(n_terms) if n_terms else 0.0
+    best, pick = math.inf, None
+    log_poch = 0.0  # log |(s)_2M|, -inf once a factor vanishes
+    for m in range(1, (corrections or _MAX_CORRECTIONS) + 1):
+        e = sigma + (2 * m - 1)
+        p = ((e - 1) * (e - 1) + t2) * (e * e + t2)  # |s + 2M - 2|^2 |s + 2M - 1|^2
+        log_poch += 0.5 * math.log(p) if p else -math.inf
+        if e <= 0 or m < (corrections or 0):
+            continue
+        log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - math.log(e)
+        if n_terms:  # the log bound, clipped at the target: first depth to meet it
+            n, cost = n_terms, max(log_c - e * log_n, _LOG_EM_TARGET)
+        else:
+            n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
+            cost = n + _CORRECTION_COST * m
+        if cost >= best:
+            break
+        best, pick = cost, (m, log_c, e, n)
+    if pick is None:
+        raise ValueError(f"the Euler-Maclaurin remainder needs Re(s) + 2M > 1, got s = {s}")
+    m, log_c, e, n = pick
+    n = max(2, math.ceil(n))
+    log_bound = log_c - e * math.log(n)
+    return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
 def _zeta_euler_maclaurin(s: complex, n_terms: int | None, corrections: int | None) -> EvalResult:
-    # Direct branch: partial sum to N-1 plus the integral, half-term and
-    # Bernoulli corrections; the first omitted correction is the error
-    # estimate.  Default N grows with |Im s| so the corrections stay small.
-    n_cut = n_terms if n_terms is not None else max(20, 3 * math.ceil(2 + abs(s.imag)))
-    depth = corrections if corrections is not None else DEFAULT_CORRECTIONS
-    if n_cut < 2:
+    # Direct branch: partial sum to N-1 plus the integral, half-term and M
+    # Bernoulli corrections, with (N, M) from _em_plan.  est_error is the
+    # remainder bound plus a rounding bound.
+    if n_terms is not None and n_terms < 2:
         raise ValueError("n_terms must be >= 2")
-    if depth < 1:
-        raise ValueError("corrections must be >= 1")
+    if corrections is not None and not 1 <= corrections <= _MAX_CORRECTIONS:
+        raise ValueError(f"corrections must be in 1..{_MAX_CORRECTIONS}")
+    n_cut, depth, bound = _em_plan(s, n_terms, corrections)
+    if n_cut * _U > PRECISION_LOSS_THRESHOLD:
+        # The rounding bound below is at least N u: refuse before summing.
+        raise PrecisionLoss(f"s = {s} needs N = {n_cut} terms, whose rounding alone "
+                            f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
     partial = 0j
     for n in range(1, n_cut):
         partial += n ** (-s)
-    value = partial + n_cut ** (1 - s) / (s - 1) + 0.5 * n_cut ** (-s)
-    factors = _em_factors(depth + 2)
-    poch = s  # running product (s)(s+1)...(s + 2r - 2)
-    npow = n_cut ** (-s - 1)  # running power N^(1 - s - 2r)
+    x = n_cut ** (-s)
+    tail = n_cut * x / (s - 1) + 0.5 * x
+    factors = _em_factors(depth + 1)
+    # w = (s)_{2r-1} N^(1-s-2r), the correction without its Bernoulli
+    # factor; each step multiplies by (s+2r-1)(s+2r)/N^2, so no depth can
+    # overflow where the bound is small.
+    w = s * x / n_cut
     scale = 1.0 / (n_cut * n_cut)
+    corr = 0j
+    size = 0.0  # sum of |corrections|
     for r in range(1, depth + 1):
-        value += factors[r] * poch * npow
-        poch *= (s + 2 * r - 1) * (s + 2 * r)
-        npow *= scale
-    est = abs(factors[depth + 1] * poch * npow) + abs(value) * 1e-15
-    return EvalResult(value, est, n_cut + depth)
+        term = factors[r] * w
+        corr += term
+        size += abs(term)
+        w *= (s + (2 * r - 1)) * (s + 2 * r) * scale
+    value = partial + tail + corr
+    # Rounding, in units of u.  CPython forms n^-s as n^-sigma (cos, sin)
+    # (t log n), two roundings in the phase, so n^-s carries a relative
+    # error of at most 2 |t| log n + c; c = 20 covers pow, cos/sin, the
+    # products and the repeated squaring CPython uses for integer s <= 100.
+    # Adding to the partial sum errs by at most |S_k| <= Z per term, with
+    # Z = sum_{n<N} n^-sigma <= 1 + int_1^N x^-sigma and log n <= log N.
+    # The integral and half-term carry the error of N^-s plus a few
+    # roundings; correction r adds at most 9r more in w and its Bernoulli
+    # factor, and summing M corrections M more.
+    sigma = s.real
+    log_n = math.log(n_cut)
+    a = (1 - sigma) * log_n
+    z = 1 + (math.expm1(min(a, 700.0)) / (1 - sigma) if a else log_n)
+    power = 2 * abs(s.imag) * log_n + 20
+    mags = abs(x) * (n_cut / abs(s - 1) + 0.5) + size
+    rounding = _U * ((power + n_cut) * z + (power + 10 * depth) * mags)
+    return EvalResult(value, bound + rounding, n_cut + depth)
 
 
 # zeta'(0) = -log(2 pi) / 2, for the expansion of the reflected branch at 0.
@@ -145,13 +224,20 @@ def _zeta_functional(s: complex, n_terms: int | None, corrections: int | None) -
         # expansion zeta(s) = -1/2 + zeta'(0) s + O(s^2) instead.
         value = -0.5 + _ZETA_PRIME_AT_0 * s
         return EvalResult(value, 2.0 * abs(s) ** 2 + 1e-16, 0)
-    inner = _zeta_euler_maclaurin(1 - s, n_terms, corrections)
     try:
         prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma_lanczos(1 - s)
     except OverflowError:
         raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}") from None
+    inner = _zeta_euler_maclaurin(1 - s, n_terms, corrections)
     value = prefactor * inner.value
-    est = abs(prefactor) * inner.est_error + (1 + abs(value)) * 1e-14
+    # Relative error of the value beyond inner's: the Lanczos formula is
+    # within 1712 u of Gamma on Re z >= 1/2 (its limit as |Im z| grows,
+    # checked against mpmath), and rounding adds, in units of u, about
+    # 9 |t| in the phases of 2^s, pi^(s-1), sin and Gamma's exponential,
+    # 2 |1-s| log |1-s+7.5| in Gamma's power, 3.5 (|s| + 1) in the moduli,
+    # and under 70 for the Lanczos sum and the products.
+    rel = _U * (1800 + (abs(s) + 1) * (20 + 2 * math.log(abs(s) + 2)))
+    est = abs(prefactor) * inner.est_error + abs(value) * rel
     return EvalResult(value, est, inner.terms_used)
 
 
@@ -190,12 +276,30 @@ def riemann_zeta(
 ) -> EvalResult:
     """Riemann zeta on the complex plane; the pole at s = 1 is excluded.
 
-    Re(s) >= 1/2 is summed directly by Euler-Maclaurin with
-    N = max(20, 3 ceil(2 + |Im s|)) terms and 12 Bernoulli corrections;
-    Re(s) < 1/2 reflects through the functional equation.  ``method`` may
-    force a branch ("euler_maclaurin" or "functional"); ``n_terms`` and
-    ``corrections`` override the defaults.  Non-finite s raises
-    DomainError, a reflection leaving the double range PrecisionLoss.
+    Re(s) >= 1/2 is summed directly by Euler-Maclaurin: N - 1 terms, the
+    integral and half-term, and M Bernoulli corrections.  For each s the
+    planner picks the cheapest (N, M) whose remainder bound
+    4 |(s)_2M| N^(1-Re s-2M) / ((2 pi)^2M (Re s + 2M - 1)) is at most
+    1e-16, so N follows Re s as well as Im s: about |Im s| / 5 on the
+    critical line at height 10^4, a handful of terms at large Re s.
+    Re(s) < 1/2 reflects through the functional equation.
+
+    est_error is the remainder bound plus a rounding bound: each n^-s
+    is off by at most (2 |Im s| log n + 20) u |n^-s| (u = 2^-53), plus the
+    rounding of the sums, the integral and the corrections.  The
+    reflected branch scales the inner bound by the prefactor and adds
+    |value| (1800 + (|s| + 1)(20 + 2 log(|s| + 2))) u for the Gamma
+    approximation and the rounding of 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
+    The rounding term grows with the height: on the critical line it
+    passes PRECISION_LOSS_THRESHOLD near |Im s| = 3 10^4, and the value is
+    refused with PrecisionLoss.  A cutoff with N u past the threshold is
+    refused before any term is summed.
+
+    ``method`` may force a branch ("euler_maclaurin" or "functional").
+    ``n_terms`` fixes N (M is then the first depth meeting 1e-16, else the
+    one with the least bound); ``corrections`` fixes M in 1..80 (N is then
+    the least meeting 1e-16); both get the same bound.  Non-finite s
+    raises DomainError, a reflection leaving the double range PrecisionLoss.
     """
     s = _finite_arg(s)
     if abs(s - 1) < POLE_EXCLUSION_RADIUS:

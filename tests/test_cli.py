@@ -300,3 +300,22 @@ def test_array_subcommands_still_run(argv):
         [sys.executable, "-m", "pzeta", *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "value" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--s", "3", "--k", "2", "--max-part", "5"],
+    ["euler-product", "--form", "even", "--s", "2", "--max-factor", "100"],
+], ids=lambda argv: argv[0])
+def test_array_subcommands_without_numpy_report_json_error(argv):
+    # With numpy unimportable, the two array subcommands end in the usual
+    # JSON error document and exit 1, not in a traceback.
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from pzeta import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "ModuleNotFoundError"
+    assert "numpy" in doc["detail"]

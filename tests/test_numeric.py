@@ -7,6 +7,7 @@ high-precision engine (mpmath at 30 digits) and pasted in as literals.
 
 import cmath
 import math
+import random
 import warnings
 
 import pytest
@@ -24,6 +25,8 @@ from pzeta.exact import bernoulli_numbers, partition_zeta_exact, zeta_even_exact
 from pzeta.numeric import (
     EvalResult,
     _em_factors,
+    _em_plan,
+    _zeta_euler_maclaurin,
     ProductForm,
     direct_sum_truncated,
     euler_product_eval,
@@ -179,6 +182,82 @@ def test_zeta_parameter_validation():
         riemann_zeta(2, n_terms=1)
     with pytest.raises(ValueError):
         riemann_zeta(2, corrections=0)
+    with pytest.raises(ValueError):
+        riemann_zeta(2, corrections=81)
+
+
+def test_zeta_cutoff_follows_height_and_real_part():
+    assert riemann_zeta(0.5 + 1e4j).terms_used < 6000
+    # Far right, a handful of terms meets the bound at any height.
+    assert riemann_zeta(30 + 1e3j).terms_used < 10
+    assert riemann_zeta(120 + 400j).terms_used < 10
+
+
+def test_zeta_plan_meets_its_remainder_bound():
+    for s in (2, 0.5 + 14j, 0.7 + 300j, 0.5 + 1e4j, 30 + 1e3j, -0.5 + 3j):
+        s = complex(s)
+        n, m, bound = _em_plan(s, None, None)
+        e = s.real + 2 * m - 1
+        log_want = (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
+                    - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
+        assert math.log(bound) == pytest.approx(log_want, abs=1e-9), s
+        assert bound <= 1e-16, s
+        assert _zeta_euler_maclaurin(s, None, None).est_error >= bound
+
+
+def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
+    # N u > 1e-8: refused before summing, not after minutes of work.  The
+    # reflected branch checks its prefactor before the inner sum.
+    for s, kw in ((0.5 + 1e12j, {}), (0.5 + 100j, {"corrections": 1}), (-1 + 1e9j, {})):
+        with pytest.raises(PrecisionLoss):
+            riemann_zeta(s, **kw)
+
+
+def test_zeta_forced_deep_corrections_stay_finite():
+    # The running Pochhammer term is rescaled by N^-2 each step, so forced
+    # depths at t = 10^4 neither overflow nor lose the value.
+    s = 0.5 + 1e4j
+    planned = riemann_zeta(s)
+    for depth in (10, 20, 30, 40):
+        got = riemann_zeta(s, corrections=depth)
+        assert cmath.isfinite(got.value) and got.est_error < 1e-8, depth
+        assert abs(got.value - planned.value) <= got.est_error + planned.est_error, depth
+    got = riemann_zeta(s, n_terms=30006, corrections=40)
+    assert abs(got.value - planned.value) <= got.est_error + planned.est_error
+
+
+def _mpmath_zeta(mpmath, s):
+    return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+
+
+def test_zeta_est_error_bounds_the_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(2027)
+    points = []
+    for lo, hi in ((0.5, 2.0), (2.0, 30.0)):  # direct branch, |t| <= 10^4
+        points += [complex(rng.uniform(lo, hi), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 4))
+                   for _ in range(60)]
+    points += [complex(rng.uniform(-1.0, 0.5), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2.6))
+               for _ in range(100)]  # reflected branch, |t| <= 400
+    for s in points:
+        got = riemann_zeta(s)
+        assert abs(got.value - _mpmath_zeta(mpmath, s)) <= got.est_error, s
+
+
+def test_family_est_error_bounds_the_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(2029)
+    for _ in range(80):
+        s = complex(rng.uniform(-0.5, 3.0), rng.uniform(-30, 30))
+        k = rng.randint(1, 6)
+        zetas = [mpmath.zeta(j * mpmath.mpc(s.real, s.imag)) for j in range(1, k + 1)]
+        h = [mpmath.mpf(1)]
+        for n in range(1, k + 1):
+            h.append(sum(zetas[j - 1] * h[n - j] for j in range(1, n + 1)) / n)
+        got = partition_zeta_family(s, k)
+        assert abs(got.value - complex(h[k])) <= got.est_error, (s, k)
 
 
 # --- partition_zeta_family -----------------------------------------------------
