@@ -21,7 +21,6 @@ from .errors import (
     ExponentMismatch,
     FitUnstable,
     InvalidForm,
-    NonzeroConstantTerm,
     PoleAt1,
     PoleProximity,
     PrecisionLoss,
@@ -48,19 +47,15 @@ from .numeric import (
 )
 from .partitions import (
     Partition,
-    enumerate_partitions_fixed_length,
     enumerate_partitions_of_size,
-    partition_from_multiplicities,
 )
 from .qseries import (
     TruncatedSeries,
     faa_di_bruno_check,
-    geometric_series,
     macmahon_exact_identity,
     macmahon_lhs,
     macmahon_rhs,
     restricted_genfun_coeffs,
-    series_exp,
 )
 
 __version__ = "0.1.0"
@@ -69,8 +64,6 @@ __all__ = [
     # partitions
     "Partition",
     "enumerate_partitions_of_size",
-    "enumerate_partitions_fixed_length",
-    "partition_from_multiplicities",
     # exact
     "PiPower",
     "bernoulli_numbers",
@@ -91,8 +84,6 @@ __all__ = [
     "PRECISION_LOSS_THRESHOLD",
     # qseries
     "TruncatedSeries",
-    "series_exp",
-    "geometric_series",
     "macmahon_lhs",
     "macmahon_rhs",
     "macmahon_exact_identity",
@@ -106,6 +97,5 @@ __all__ = [
     "PrecisionLoss",
     "FitUnstable",
     "InvalidForm",
-    "NonzeroConstantTerm",
     "ExponentMismatch",
 ]

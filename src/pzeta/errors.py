@@ -47,10 +47,6 @@ class InvalidForm(DomainError):
     """Euler-product form rejected at construction (part 1 admitted)."""
 
 
-class NonzeroConstantTerm(DomainError):
-    """Series exponential requires a zero constant term."""
-
-
 class ExponentMismatch(ValueError):
     """Added pi-power terms with different exponents; a bug in the caller,
     never coerced silently."""

@@ -12,7 +12,8 @@ a derived rounding bound (and, on the reflected branch, the Gamma
 factor's error); zeta results whose bound exceeds
 PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss
 with the untrusted value attached.  Non-finite s raises DomainError on
-every public entry.
+every public entry, and so does an s for which s log n overflows in the
+routines that form n^-s up to a caller's cutoff.
 
 numpy is imported only inside the three array routines,
 direct_sum_truncated, truncation_error_estimate and euler_product_eval, so
@@ -77,6 +78,14 @@ def _finite_arg(s: complex) -> complex:
     return s
 
 
+def _check_exponent(s: complex, n_max: int) -> None:
+    # n^-s = exp(-s log n).  Where the phase Im(s) log n leaves the double
+    # range CPython reports cos(inf) as a ZeroDivisionError and numpy returns
+    # NaN; where Re(s) log n does, numpy warns of an overflow.
+    if not cmath.isfinite(s * math.log(n_max)):
+        raise DomainError(f"s log n overflows for n <= {n_max}, s = {s}")
+
+
 def _trusted(result: EvalResult) -> EvalResult:
     # Zeta evaluations additionally refuse results whose error bound
     # exceeds the trust threshold.  Truncation-controlled operations
@@ -124,56 +133,43 @@ _LOG_4 = math.log(4.0)
 _LOG_4PI2 = 2 * math.log(2 * math.pi)
 
 
-def _em_plan(s: complex, n_terms: int | None, corrections: int | None) -> tuple[int, int, float]:
+def _em_plan(s: complex) -> tuple[int, int, float]:
     """Cutoff N, depth M and the bound on the Euler-Maclaurin remainder
     after M corrections (Johansson, arXiv:1309.2877, Theorem 1):
 
         |R| <= 4 |(s)_2M| / ((2 pi)^2M (sigma + 2M - 1)) * N^(1 - sigma - 2M),
 
-    valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  With
-    both free, the cheapest pair (cost N + 4M) whose bound meets 1e-16;
-    with N fixed, the first M that meets it (else the least bound); with M
-    fixed, the least N that meets it.  Depths are scanned upwards and the
-    scan stops once the cost starts rising."""
+    valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  Picks
+    the cheapest pair (cost N + 4M) whose bound meets 1e-16.  Depths are
+    scanned upwards and the scan stops once the cost starts rising.  Every
+    caller has sigma >= 1/2, so no Pochhammer factor vanishes."""
     sigma, t2 = s.real, s.imag * s.imag
-    log_n = math.log(n_terms) if n_terms else 0.0
-    best, pick = math.inf, None
-    log_poch = 0.0  # log |(s)_2M|, -inf once a factor vanishes
-    for m in range(1, (corrections or _MAX_CORRECTIONS) + 1):
+    best = math.inf
+    log_poch = 0.0  # log |(s)_2M|
+    for m in range(1, _MAX_CORRECTIONS + 1):
         e = sigma + (2 * m - 1)
-        p = ((e - 1) * (e - 1) + t2) * (e * e + t2)  # |s + 2M - 2|^2 |s + 2M - 1|^2
-        log_poch += 0.5 * math.log(p) if p else -math.inf
-        if e <= 0 or m < (corrections or 0):
-            continue
+        # |s + 2M - 2|^2 |s + 2M - 1|^2
+        log_poch += 0.5 * math.log(((e - 1) * (e - 1) + t2) * (e * e + t2))
         log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - math.log(e)
-        if n_terms:  # the log bound, clipped at the target: first depth to meet it
-            n, cost = n_terms, max(log_c - e * log_n, _LOG_EM_TARGET)
-        else:
-            n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
-            cost = n + _CORRECTION_COST * m
+        n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
+        cost = n + _CORRECTION_COST * m
         if cost >= best:
             break
         best, pick = cost, (m, log_c, e, n)
-    if pick is None:
-        raise ValueError(f"the Euler-Maclaurin remainder needs Re(s) + 2M > 1, got s = {s}")
     m, log_c, e, n = pick
     n = max(2, math.ceil(n))
     log_bound = log_c - e * math.log(n)
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _zeta_euler_maclaurin(s: complex, n_terms: int | None, corrections: int | None) -> EvalResult:
+def _zeta_euler_maclaurin(s: complex) -> EvalResult:
     # Direct branch: partial sum to N-1 plus the integral, half-term and M
     # Bernoulli corrections, with (N, M) from _em_plan.  est_error is the
     # remainder bound plus a rounding bound.
-    if n_terms is not None and n_terms < 2:
-        raise ValueError("n_terms must be >= 2")
-    if corrections is not None and not 1 <= corrections <= _MAX_CORRECTIONS:
-        raise ValueError(f"corrections must be in 1..{_MAX_CORRECTIONS}")
-    n_cut, depth, bound = _em_plan(s, n_terms, corrections)
+    n_cut, depth, bound = _em_plan(s)
     if n_cut * _U > PRECISION_LOSS_THRESHOLD:
         # The rounding bound below is at least N u: refuse before summing.
-        raise PrecisionLoss(f"s = {s} needs N = {n_cut} terms, whose rounding alone "
+        raise PrecisionLoss(f"s = {s} needs N = {n_cut:.3g} terms, whose rounding alone "
                             f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
     partial = 0j
     for n in range(1, n_cut):
@@ -217,7 +213,7 @@ def _zeta_euler_maclaurin(s: complex, n_terms: int | None, corrections: int | No
 _ZETA_PRIME_AT_0 = -0.9189385332046727
 
 
-def _zeta_functional(s: complex, n_terms: int | None, corrections: int | None) -> EvalResult:
+def _zeta_functional(s: complex) -> EvalResult:
     # Reflected branch: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
     if abs(s) < 1e-6:
         # At s = 0 the sin zero meets the zeta(1-s) pole; use the Taylor
@@ -228,7 +224,7 @@ def _zeta_functional(s: complex, n_terms: int | None, corrections: int | None) -
         prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma_lanczos(1 - s)
     except OverflowError:
         raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}") from None
-    inner = _zeta_euler_maclaurin(1 - s, n_terms, corrections)
+    inner = _zeta_euler_maclaurin(1 - s)
     value = prefactor * inner.value
     # Relative error of the value beyond inner's: the Lanczos formula is
     # within 1712 u of Gamma on Re z >= 1/2 (its limit as |Im z| grows,
@@ -268,50 +264,28 @@ def _gamma_lanczos(z: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def riemann_zeta(
-    s: complex,
-    method: str = "auto",
-    n_terms: int | None = None,
-    corrections: int | None = None,
-) -> EvalResult:
+def riemann_zeta(s: complex) -> EvalResult:
     """Riemann zeta on the complex plane; the pole at s = 1 is excluded.
 
     Re(s) >= 1/2 is summed directly by Euler-Maclaurin: N - 1 terms, the
-    integral and half-term, and M Bernoulli corrections.  For each s the
-    planner picks the cheapest (N, M) whose remainder bound
+    integral and half-term, and M Bernoulli corrections, with (N, M) the
+    cheapest pair whose remainder bound
     4 |(s)_2M| N^(1-Re s-2M) / ((2 pi)^2M (Re s + 2M - 1)) is at most
-    1e-16, so N follows Re s as well as Im s: about |Im s| / 5 on the
-    critical line at height 10^4, a handful of terms at large Re s.
-    Re(s) < 1/2 reflects through the functional equation.
+    1e-16.  Re(s) < 1/2 reflects through the functional equation.
 
-    est_error is the remainder bound plus a rounding bound: each n^-s
-    is off by at most (2 |Im s| log n + 20) u |n^-s| (u = 2^-53), plus the
-    rounding of the sums, the integral and the corrections.  The
-    reflected branch scales the inner bound by the prefactor and adds
-    |value| (1800 + (|s| + 1)(20 + 2 log(|s| + 2))) u for the Gamma
-    approximation and the rounding of 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
-    The rounding term grows with the height: on the critical line it
-    passes PRECISION_LOSS_THRESHOLD near |Im s| = 3 10^4, and the value is
-    refused with PrecisionLoss.  A cutoff with N u past the threshold is
-    refused before any term is summed.
-
-    ``method`` may force a branch ("euler_maclaurin" or "functional").
-    ``n_terms`` fixes N (M is then the first depth meeting 1e-16, else the
-    one with the least bound); ``corrections`` fixes M in 1..80 (N is then
-    the least meeting 1e-16); both get the same bound.  Non-finite s
-    raises DomainError, a reflection leaving the double range PrecisionLoss.
+    est_error is the remainder bound plus a rounding bound, which grows
+    like |Im s| log N u (u = 2^-53); the reflected branch scales it by the
+    prefactor and adds the Gamma approximation's error.  A bound past
+    PRECISION_LOSS_THRESHOLD raises PrecisionLoss: on the critical line
+    from about |Im s| = 3 10^4, and before any term is summed once N u
+    alone passes it.  Non-finite s raises DomainError.
     """
     s = _finite_arg(s)
     if abs(s - 1) < POLE_EXCLUSION_RADIUS:
         raise PoleAt1(f"s = {s} lies within {POLE_EXCLUSION_RADIUS} of the pole at s = 1")
-    branch = method
-    if branch == "auto":
-        branch = "euler_maclaurin" if s.real >= 0.5 else "functional"
-    if branch == "euler_maclaurin":
-        return _trusted(_zeta_euler_maclaurin(s, n_terms, corrections))
-    if branch == "functional":
-        return _trusted(_zeta_functional(s, n_terms, corrections))
-    raise ValueError(f"unknown method {method!r}")
+    if s.real >= 0.5:
+        return _trusted(_zeta_euler_maclaurin(s))
+    return _trusted(_zeta_functional(s))
 
 
 def partition_zeta_family(s: complex, k: int) -> EvalResult:
@@ -380,14 +354,17 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
     direct_sum_truncated(s, k, M) leaves out, sigma = Re(s): an omitted
     partition's largest part exceeds M, and T = M^(1-sigma)/(sigma-1) bounds
     those; the other parts add at most zeta(sigma) <= zeta_M(sigma) + T each,
-    zeta_M the sum of n^-sigma to M.  Infinite past the double range."""
+    zeta_M the sum of n^-sigma to M.  Infinite past the double range;
+    DomainError where s log M overflows."""
     import numpy as np
 
-    sigma = _finite_arg(s).real
+    s = _finite_arg(s)
+    sigma = s.real
     if sigma <= 1:
         raise DivergenceRegion(f"direct sum requires Re(s) > 1, got {sigma}")
     if k < 1 or max_part < 1:
         raise ValueError("k and max_part must be >= 1")
+    _check_exponent(s, max_part)
     n = np.arange(1, max_part + 1, dtype=np.float64)
     tail = max_part ** (1 - sigma) / (sigma - 1)
     try:
@@ -470,6 +447,7 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
         raise DivergenceRegion(f"the product requires Re(s) > 1, got {sigma}")
     if max_factor < 1:
         raise ValueError("max_factor must be >= 1")
+    _check_exponent(s, max_factor)
     n = np.arange(1, max_factor + 1)
     if form.kind == "distinct":
         mask = np.ones(max_factor, dtype=bool)

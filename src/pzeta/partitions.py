@@ -9,7 +9,7 @@ of parts, 1 for the empty partition) and the multiplicity map part -> count.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class Partition:
@@ -79,22 +79,6 @@ class Partition:
         return "[" + ",".join(str(p) for p in self._parts) + "]"
 
 
-def partition_from_multiplicities(entries: Mapping[int, int]) -> Partition:
-    """Rebuild a partition from a part -> multiplicity map.
-
-    Inverse of Partition.multiplicities: round-tripping either way is exact.
-    """
-    parts: list[int] = []
-    for part in sorted(entries, reverse=True):
-        mult = entries[part]
-        if part < 1:
-            raise ValueError(f"part values must be >= 1, got {part}")
-        if mult < 1:
-            raise ValueError(f"multiplicities must be >= 1, got {mult} for part {part}")
-        parts.extend([part] * mult)
-    return Partition(parts)
-
-
 def enumerate_partitions_of_size(k: int) -> Iterator[Partition]:
     """Yield every partition of size ``k`` exactly once, in reverse
     lexicographic order: (k) first, (1,...,1) last.
@@ -139,26 +123,3 @@ def complete_homogeneous(power_sums: Sequence, one) -> list:
         h.append(sum(terms, power_sums[0] * h[n - 1]) / n)
     return h
 
-
-def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[Partition]:
-    """Yield every partition with exactly ``k`` parts, all parts <= ``max_part``,
-    each exactly once (ordered by ascending largest part).
-
-    The count is C(max_part - 1 + k, k), so callers should fold the stream
-    rather than materialize it for large arguments.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if max_part < 1:
-        raise ValueError("max_part must be >= 1")
-
-    def descend(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(1, cap + 1):
-            for rest in descend(remaining - 1, first):
-                yield (first,) + rest
-
-    for tup in descend(k, max_part):
-        yield Partition(tup)

@@ -20,123 +20,32 @@ z_lambda = N(lambda) m_1!...m_k!, the weight k!/z_lambda counts the
 permutations of cycle type lambda, so it is an integer, and scaling both
 sides by k! leaves only integer polynomials.  Every step multiplies a
 polynomial by (1 - q^j) or divides a truncated series by it, each in
-O(length) integer additions.  The Faa di Bruno check and the public
-TruncatedSeries keep Fraction coefficients.
+O(length) integer additions.  The two sides come back as TruncatedSeries,
+a read-only record of coefficients compared with ==.  The Faa di Bruno
+check runs the exponential's recurrence on Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import DivergenceRegion, NonzeroConstantTerm
-from .exact import format_rational
-from .numeric import _finite_arg
+from .errors import DivergenceRegion
+from .numeric import _check_exponent, _finite_arg
 from .partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
-    """Dense exact coefficients of q^0..q^order; arithmetic modulo q^(order+1).
+    """Exact coefficients of q^0..q^order of a power series."""
 
-    Coefficients beyond the order are dropped on construction; binary
-    operations require operands of equal order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be nonnegative")
-            cs = cs[: order + 1]
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        elif not cs:
-            raise ValueError("empty coefficient list requires an explicit order")
-        self.coeffs = cs
+    coeffs: list
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def _aligned(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"series orders differ: {self.order} vs {other.order}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._aligned(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._aligned(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._aligned(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for jj in range(n - i + 1):
-                b = other.coeffs[jj]
-                if b:
-                    out[i + jj] += a * b
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        out = TruncatedSeries([1], self.order)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by q^k, truncating at the original order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return TruncatedSeries([Fraction(0)] * k + self.coeffs, self.order)
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
-
-
-def series_exp(a: TruncatedSeries) -> TruncatedSeries:
-    """Exact exponential of a series with zero constant term.
-
-    Uses the derivative recurrence n b_n = sum_{i=1}^{n} i a_i b_{n-i}: the
-    Newton recurrence of complete_homogeneous with power sums p_i = i a_i.
-    """
-    if a.coeffs[0] != 0:
-        raise NonzeroConstantTerm("series exponential requires a zero constant term")
-    power_sums = [i * a.coeffs[i] for i in range(1, a.order + 1)]
-    return TruncatedSeries(complete_homogeneous(power_sums, Fraction(1)))
-
-
-def geometric_series(j: int, order: int) -> TruncatedSeries:
-    """The series of 1/(1 - q^j) up to the given order."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return TruncatedSeries([1 if n % j == 0 else 0 for n in range(order + 1)])
 
 
 def _times_one_minus_q_power(c: list[int], j: int) -> list[int]:
@@ -259,7 +168,9 @@ def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
     if len(a) > order:
         raise ValueError("more coefficients than the requested order")
     a += [Fraction(0)] * (order - len(a))
-    lhs = series_exp(TruncatedSeries([0] + a, order))
+    # exp's derivative recurrence n b_n = sum_i i a_i b_{n-i} is Newton's
+    # with power sums i a_i.
+    lhs = complete_homogeneous([j * a[j - 1] for j in range(1, order + 1)], Fraction(1))
     for k in range(order + 1):
         acc = Fraction(0)
         for lam in enumerate_partitions_of_size(k):
@@ -278,7 +189,8 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     The z^k coefficient equals the direct sum of N(lambda)^(-s) over the
     partitions with exactly k parts, all parts <= max_part: the same finite
     sum the truncated oracle computes, reached through a different route.
-    Requires Re(s) > 1; non-finite s raises DomainError.
+    Requires Re(s) > 1; non-finite s, or s log max_part past the double
+    range, raises DomainError.
     """
     s = _finite_arg(s)
     if s.real <= 1:
@@ -287,6 +199,7 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
         raise ValueError("max_part must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    _check_exponent(s, max_part)
     out = [1 + 0j] + [0j] * k_max
     for n in range(1, max_part + 1):
         a = complex(n) ** (-s)

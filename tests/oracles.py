@@ -1,0 +1,52 @@
+"""Partition helpers that only the tests use, as oracles for the package.
+
+partition_from_multiplicities inverts Partition.multiplicities, and
+enumerate_partitions_fixed_length lists the bounded fixed-length partitions
+that the truncated direct sum and the restricted generating function fold.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Mapping
+
+from pzeta.partitions import Partition
+
+
+def partition_from_multiplicities(entries: Mapping[int, int]) -> Partition:
+    """Rebuild a partition from a part -> multiplicity map.
+
+    Inverse of Partition.multiplicities: round-tripping either way is exact.
+    """
+    parts: list[int] = []
+    for part in sorted(entries, reverse=True):
+        mult = entries[part]
+        if part < 1:
+            raise ValueError(f"part values must be >= 1, got {part}")
+        if mult < 1:
+            raise ValueError(f"multiplicities must be >= 1, got {mult} for part {part}")
+        parts.extend([part] * mult)
+    return Partition(parts)
+
+
+def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[Partition]:
+    """Yield every partition with exactly ``k`` parts, all parts <= ``max_part``,
+    each exactly once (ordered by ascending largest part).
+
+    The count is C(max_part - 1 + k, k), so callers should fold the stream
+    rather than materialize it for large arguments.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if max_part < 1:
+        raise ValueError("max_part must be >= 1")
+
+    def descend(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(1, cap + 1):
+            for rest in descend(remaining - 1, first):
+                yield (first,) + rest
+
+    for tup in descend(k, max_part):
+        yield Partition(tup)

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from oracles import enumerate_partitions_fixed_length
 from pzeta.errors import (
     DivergenceRegion,
     DomainError,
@@ -24,9 +25,12 @@ from pzeta.errors import (
 from pzeta.exact import bernoulli_numbers, partition_zeta_exact, zeta_even_exact
 from pzeta.numeric import (
     EvalResult,
+    PRECISION_LOSS_THRESHOLD,
     _em_factors,
     _em_plan,
+    _trusted,
     _zeta_euler_maclaurin,
+    _zeta_functional,
     ProductForm,
     direct_sum_truncated,
     euler_product_eval,
@@ -35,7 +39,7 @@ from pzeta.numeric import (
     riemann_zeta,
     truncation_error_estimate,
 )
-from pzeta.partitions import enumerate_partitions_fixed_length
+from pzeta.qseries import restricted_genfun_coeffs
 
 # frozen: mpmath.zeta at 30 digits
 ZETA_3 = 1.2020569031595942854
@@ -101,14 +105,9 @@ def test_zeta_conjugate_symmetry():
 
 def test_zeta_branches_agree_across_the_seam():
     for s in (0.49 + 3j, 0.51 + 3j, 0.5 + 1j):
-        em = riemann_zeta(s, method="euler_maclaurin").value
-        fe = riemann_zeta(s, method="functional").value
+        em = _zeta_euler_maclaurin(s).value
+        fe = _zeta_functional(s).value
         assert abs(em - fe) < 1e-10 * (1 + abs(em)), s
-
-
-def test_zeta_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        riemann_zeta(2, method="magic")
 
 
 def test_zeta_pole_exclusion():
@@ -124,12 +123,12 @@ def test_zeta_pole_exclusion():
 
 
 def test_zeta_precision_loss_attaches_partial():
+    untrusted = EvalResult(1.6 + 0j, 2 * PRECISION_LOSS_THRESHOLD, 3)
     with pytest.raises(PrecisionLoss) as exc:
-        riemann_zeta(2, n_terms=2, corrections=1)
-    partial = exc.value.partial
-    assert isinstance(partial, EvalResult)
-    assert abs(partial.value - math.pi**2 / 6) < 0.05  # crude but present
-    assert partial.est_error > 1e-8
+        _trusted(untrusted)
+    assert exc.value.partial is untrusted
+    trusted = EvalResult(1.6 + 0j, PRECISION_LOSS_THRESHOLD, 3)
+    assert _trusted(trusted) is trusted
 
 
 def test_zeta_reflection_overflow_is_typed():
@@ -155,11 +154,16 @@ def test_non_finite_argument_is_a_domain_error():
     lambda s: direct_sum_truncated(s, 2, 10),
     lambda s: truncation_error_estimate(s, 2, 10),
     lambda s: euler_product_eval(ProductForm.distinct_parts(), s, 100),
-], ids=["direct_sum_truncated", "truncation_error_estimate", "euler_product_eval"])
+    lambda s: restricted_genfun_coeffs(s, 10, 3),
+], ids=["direct_sum_truncated", "truncation_error_estimate", "euler_product_eval",
+        "restricted_genfun_coeffs"])
 def test_array_routines_reject_non_finite_s(call):
-    # Rejected before any array is built: no numpy RuntimeWarning, no
-    # PrecisionLoss from a NaN result.
-    for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1)):
+    # Rejected before any power is formed: no numpy RuntimeWarning, no
+    # PrecisionLoss from a NaN result.  At Im s = 1e308 the phase
+    # Im(s) log n overflows, which CPython reports as ZeroDivisionError;
+    # at Re s = 1e308, s log n overflows in numpy's power.
+    for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1),
+              complex(2, 1e308), complex(1e308, 5e16)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as info:
@@ -177,15 +181,6 @@ def test_em_factor_table_is_shared_and_exact():
             float(bs[2 * r]) / math.factorial(2 * r) for r in range(depth))
 
 
-def test_zeta_parameter_validation():
-    with pytest.raises(ValueError):
-        riemann_zeta(2, n_terms=1)
-    with pytest.raises(ValueError):
-        riemann_zeta(2, corrections=0)
-    with pytest.raises(ValueError):
-        riemann_zeta(2, corrections=81)
-
-
 def test_zeta_cutoff_follows_height_and_real_part():
     assert riemann_zeta(0.5 + 1e4j).terms_used < 6000
     # Far right, a handful of terms meets the bound at any height.
@@ -196,34 +191,33 @@ def test_zeta_cutoff_follows_height_and_real_part():
 def test_zeta_plan_meets_its_remainder_bound():
     for s in (2, 0.5 + 14j, 0.7 + 300j, 0.5 + 1e4j, 30 + 1e3j, -0.5 + 3j):
         s = complex(s)
-        n, m, bound = _em_plan(s, None, None)
+        n, m, bound = _em_plan(s)
         e = s.real + 2 * m - 1
         log_want = (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
                     - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
         assert math.log(bound) == pytest.approx(log_want, abs=1e-9), s
         assert bound <= 1e-16, s
-        assert _zeta_euler_maclaurin(s, None, None).est_error >= bound
+        assert _zeta_euler_maclaurin(s).est_error >= bound
 
 
 def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
     # N u > 1e-8: refused before summing, not after minutes of work.  The
     # reflected branch checks its prefactor before the inner sum.
-    for s, kw in ((0.5 + 1e12j, {}), (0.5 + 100j, {"corrections": 1}), (-1 + 1e9j, {})):
+    for s in (0.5 + 1e12j, -1 + 1e9j):
         with pytest.raises(PrecisionLoss):
-            riemann_zeta(s, **kw)
+            riemann_zeta(s)
 
 
 def test_zeta_forced_deep_corrections_stay_finite():
-    # The running Pochhammer term is rescaled by N^-2 each step, so forced
-    # depths at t = 10^4 neither overflow nor lose the value.
+    # At t = 10^4 the planner is forced to its deepest depth, 80.  The
+    # running Pochhammer term is rescaled by N^-2 each step, so it neither
+    # overflows nor loses the value; the mpmath test checks the value.
     s = 0.5 + 1e4j
-    planned = riemann_zeta(s)
-    for depth in (10, 20, 30, 40):
-        got = riemann_zeta(s, corrections=depth)
-        assert cmath.isfinite(got.value) and got.est_error < 1e-8, depth
-        assert abs(got.value - planned.value) <= got.est_error + planned.est_error, depth
-    got = riemann_zeta(s, n_terms=30006, corrections=40)
-    assert abs(got.value - planned.value) <= got.est_error + planned.est_error
+    n, m, _ = _em_plan(s)
+    assert m == 80
+    got = riemann_zeta(s)
+    assert got.terms_used == n + m
+    assert cmath.isfinite(got.value) and got.est_error < 1e-8
 
 
 def _mpmath_zeta(mpmath, s):

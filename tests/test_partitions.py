@@ -7,12 +7,8 @@ from functools import lru_cache
 
 import pytest
 
-from pzeta.partitions import (
-    Partition,
-    enumerate_partitions_fixed_length,
-    enumerate_partitions_of_size,
-    partition_from_multiplicities,
-)
+from oracles import enumerate_partitions_fixed_length, partition_from_multiplicities
+from pzeta.partitions import Partition, enumerate_partitions_of_size
 
 
 # --- oracles -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact series arithmetic and the q-series identity verifiers, pinned
+"""The q-series identity verifiers and the exponential's recurrence, pinned
 against brute-force partition counting, permutation counting and the literal
 bounded enumeration."""
 
@@ -10,18 +10,16 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import enumerate_partitions_fixed_length
 from pzeta import qseries
-from pzeta.errors import DivergenceRegion, DomainError, NonzeroConstantTerm
-from pzeta.partitions import enumerate_partitions_fixed_length
+from pzeta.errors import DivergenceRegion, DomainError
+from pzeta.partitions import complete_homogeneous
 from pzeta.qseries import (
-    TruncatedSeries,
     faa_di_bruno_check,
-    geometric_series,
     macmahon_exact_identity,
     macmahon_lhs,
     macmahon_rhs,
     restricted_genfun_coeffs,
-    series_exp,
 )
 
 
@@ -66,40 +64,6 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-# --- TruncatedSeries ----------------------------------------------------------
-
-def test_series_construction_pads_and_truncates():
-    t = TruncatedSeries([1, 2], order=4)
-    assert t.coeffs == [1, 2, 0, 0, 0]
-    t = TruncatedSeries([1, 2, 3, 4], order=2)
-    assert t.coeffs == [1, 2, 3]
-
-
-def test_series_addition_and_scalar():
-    a = TruncatedSeries([1, 1, 1])
-    b = TruncatedSeries([0, 1, 2])
-    assert (a + b).coeffs == [1, 2, 3]
-    assert (a - b).coeffs == [1, 0, -1]
-    assert (a * Fraction(1, 2)).coeffs == [Fraction(1, 2)] * 3
-
-
-def test_series_multiplication_truncates():
-    one_minus_q = TruncatedSeries([1, -1], order=5)
-    geo = geometric_series(1, 5)
-    assert (one_minus_q * geo).coeffs == [1, 0, 0, 0, 0, 0]
-
-
-def test_series_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1], order=3) + TruncatedSeries([1], order=4)
-
-
-def test_series_shift():
-    t = TruncatedSeries([1, 2, 3], order=4)
-    assert t.shift(2).coeffs == [0, 0, 1, 2, 3]
-    assert t.shift(0).coeffs == t.coeffs
-
-
 # --- integer (1 - q^j) steps -----------------------------------------------------
 
 def test_divide_one_minus_q_power_gives_geometric_series():
@@ -107,7 +71,10 @@ def test_divide_one_minus_q_power_gives_geometric_series():
     for j in (1, 2, 5):
         c = [1] + [0] * 12
         qseries._divide_one_minus_q_power(c, j)
-        assert TruncatedSeries(c) == geometric_series(j, 12)
+        assert c == [1 if n % j == 0 else 0 for n in range(13)]
+    c = [1] + [0] * 6
+    qseries._divide_one_minus_q_power(c, 2)
+    assert c == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_times_one_minus_q_power_small_case():
@@ -126,39 +93,33 @@ def test_divide_undoes_times_one_minus_q_power_randomized():
         assert prod == c + [0] * j
 
 
-def test_series_json():
-    t = TruncatedSeries([1, 1, Fraction(1, 2)])
-    assert t.to_json() == {"order": 2, "coeffs": ["1/1", "1/1", "1/2"]}
+# --- the exponential's recurrence ---------------------------------------------------
+# exp(sum_i a_i x^i) is complete_homogeneous with power sums i a_i: the
+# recurrence faa_di_bruno_check expands.
 
+def exp_coeffs(a: list) -> list:
+    """x^0..x^len(a) coefficients of exp(a_1 x + a_2 x^2 + ...)."""
+    return complete_homogeneous([i * ai for i, ai in enumerate(a, 1)], Fraction(1))
 
-# --- series_exp -----------------------------------------------------------------
 
 def test_exp_of_x():
     from math import factorial
 
-    a = TruncatedSeries([0, 1], order=8)
-    got = series_exp(a)
-    assert got.coeffs == [Fraction(1, factorial(n)) for n in range(9)]
+    got = exp_coeffs([1] + [0] * 7)
+    assert got == [Fraction(1, factorial(n)) for n in range(9)]
 
 
 def test_exp_of_minus_x_alternates():
     from math import factorial
 
-    a = TruncatedSeries([0, -1], order=7)
-    got = series_exp(a)
-    assert got.coeffs == [Fraction((-1) ** n, factorial(n)) for n in range(8)]
+    got = exp_coeffs([-1] + [0] * 6)
+    assert got == [Fraction((-1) ** n, factorial(n)) for n in range(8)]
 
 
 def test_exp_of_log_geometric_is_geometric():
     # exp(sum_j x^j / j) = 1/(1-x).
     order = 12
-    a = TruncatedSeries([0] + [Fraction(1, j) for j in range(1, order + 1)])
-    assert series_exp(a) == geometric_series(1, order)
-
-
-def test_exp_requires_zero_constant_term():
-    with pytest.raises(NonzeroConstantTerm):
-        series_exp(TruncatedSeries([1, 1], order=3))
+    assert exp_coeffs([Fraction(1, j) for j in range(1, order + 1)]) == [1] * (order + 1)
 
 
 # --- faa_di_bruno_check -----------------------------------------------------------
@@ -189,7 +150,7 @@ def test_faa_di_bruno_routes_are_independent():
     original = [Fraction(1, j) for j in range(1, 7)]
     perturbed = list(original)
     perturbed[3] += Fraction(1, 99)
-    lhs = series_exp(TruncatedSeries([0] + perturbed, order))
+    lhs = exp_coeffs(perturbed)
     mismatch = False
     for k in range(order + 1):
         acc = Fraction(0)
@@ -230,7 +191,7 @@ def test_lhs_matches_brute_force_counts():
     for k in (1, 2, 3, 4):
         series = macmahon_lhs(k, 30)
         for n in range(31):
-            assert series[n] == count_exact_parts(n, k), (k, n)
+            assert series.coeffs[n] == count_exact_parts(n, k), (k, n)
 
 
 def test_lhs_matches_independent_recurrence():
@@ -307,9 +268,9 @@ def test_length_conjugation_bijection():
     # n + k with exactly k parts: the unshifted product against the
     # brute-force exact-length count.
     for k in (1, 2, 3, 5):
-        prod = TruncatedSeries([1], order=20)
+        prod = [1] + [0] * 20
         for j in range(1, k + 1):
-            prod = prod * geometric_series(j, 20)
+            qseries._divide_one_minus_q_power(prod, j)
         for n in range(14):
             assert prod[n] == count_exact_parts(n + k, k), (k, n)
 
