@@ -18,7 +18,6 @@ constrained part sets.
 from .errors import (
     DivergenceRegion,
     DomainError,
-    ExponentMismatch,
     FitUnstable,
     InvalidForm,
     PoleAt1,
@@ -45,10 +44,7 @@ from .numeric import (
     riemann_zeta,
     truncation_error_estimate,
 )
-from .partitions import (
-    Partition,
-    enumerate_partitions_of_size,
-)
+from .partitions import enumerate_partitions_of_size
 from .qseries import (
     TruncatedSeries,
     faa_di_bruno_check,
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     # partitions
-    "Partition",
     "enumerate_partitions_of_size",
     # exact
     "PiPower",
@@ -97,5 +92,4 @@ __all__ = [
     "PrecisionLoss",
     "FitUnstable",
     "InvalidForm",
-    "ExponentMismatch",
 ]

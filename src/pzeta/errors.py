@@ -46,7 +46,3 @@ class FitUnstable(DomainError):
 class InvalidForm(DomainError):
     """Euler-product form rejected at construction (part 1 admitted)."""
 
-
-class ExponentMismatch(ValueError):
-    """Added pi-power terms with different exponents; a bug in the caller,
-    never coerced silently."""

@@ -3,7 +3,10 @@ fixed-length partition zeta values as rational multiples of powers of pi.
 
 Every computation in this module is exact; no floating point enters any
 intermediate.  Rationals are stdlib ``fractions.Fraction`` values, which are
-always reduced to lowest terms with a positive denominator.
+always reduced to lowest terms with a positive denominator.  The power of pi
+in each result is fixed by its arguments before any arithmetic starts, so
+all arithmetic runs on the rational coefficients and PiPower only records
+the pair.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExponentMismatch
 from .partitions import complete_homogeneous
 
 
@@ -26,43 +28,18 @@ def format_rational(value: Fraction | int) -> str:
 
 @dataclass(frozen=True)
 class PiPower:
-    """Exact value ``coeff * pi**exponent`` with a nonnegative even exponent.
-
-    Multiplication adds exponents and division by a rational keeps them;
-    addition is defined only between equal exponents and raises
-    ExponentMismatch otherwise (such a mismatch is a caller bug, never
-    silently coerced).
-    """
+    """Exact value ``coeff * pi**exponent``; scaling by an int or Fraction
+    keeps the exponent."""
 
     coeff: Fraction
     exponent: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.exponent < 0 or self.exponent % 2 != 0:
-            raise ValueError(f"pi exponent must be a nonnegative even integer, got {self.exponent}")
-
     def __mul__(self, other):
-        if isinstance(other, PiPower):
-            return PiPower(self.coeff * other.coeff, self.exponent + other.exponent)
         if isinstance(other, (int, Fraction)):
             return PiPower(self.coeff * other, self.exponent)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PiPower(self.coeff / other, self.exponent)
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, PiPower):
-            return NotImplemented
-        if self.exponent != other.exponent:
-            raise ExponentMismatch(
-                f"cannot add a pi^{self.exponent} term to a pi^{other.exponent} term")
-        return PiPower(self.coeff + other.coeff, self.exponent)
 
     def to_float(self) -> float:
         return float(self.coeff) * math.pi**self.exponent
@@ -145,8 +122,10 @@ def partition_zeta_exact(m: int, k: int) -> PiPower:
         raise ValueError("m must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    zetas = [zeta_even_exact(2 * m * j) for j in range(1, k + 1)]
-    return complete_homogeneous(zetas, PiPower(Fraction(1), 0))[k]
+    # Every term of h_k carries pi^(2m |lambda|) = pi^(2mk): run on the
+    # rational coefficients alone.
+    coeffs = [zeta_even_exact(2 * m * j).coeff for j in range(1, k + 1)]
+    return PiPower(complete_homogeneous(coeffs, Fraction(1))[k], 2 * m * k)
 
 
 def zeta2_family_coefficient(k: int) -> Fraction:

@@ -10,10 +10,11 @@ EvalResult carrying an absolute error bound (heuristic only for the Euler
 products' tail).  For zeta it is the Euler-Maclaurin remainder bound plus
 a derived rounding bound (and, on the reflected branch, the Gamma
 factor's error); zeta results whose bound exceeds
-PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss
-with the untrusted value attached.  Non-finite s raises DomainError on
-every public entry, and so does an s for which s log n overflows in the
-routines that form n^-s up to a caller's cutoff.
+PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
+with the untrusted value attached when one was computed (a bound whose
+rounding share alone is too large refuses before summing).  Non-finite s
+raises DomainError on every public entry, and so does an s for which
+s log n overflows in the routines that form n^-s up to a caller's cutoff.
 
 numpy is imported only inside the three array routines,
 direct_sum_truncated, truncation_error_estimate and euler_product_eval, so
@@ -162,34 +163,12 @@ def _em_plan(s: complex) -> tuple[int, int, float]:
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _zeta_euler_maclaurin(s: complex) -> EvalResult:
+def _zeta_euler_maclaurin(s: complex, scale: float = 1.0) -> EvalResult:
     # Direct branch: partial sum to N-1 plus the integral, half-term and M
     # Bernoulli corrections, with (N, M) from _em_plan.  est_error is the
-    # remainder bound plus a rounding bound.
+    # remainder bound plus a rounding bound.  The caller multiplies the
+    # result by a factor of modulus ``scale``.
     n_cut, depth, bound = _em_plan(s)
-    if n_cut * _U > PRECISION_LOSS_THRESHOLD:
-        # The rounding bound below is at least N u: refuse before summing.
-        raise PrecisionLoss(f"s = {s} needs N = {n_cut:.3g} terms, whose rounding alone "
-                            f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
-    partial = 0j
-    for n in range(1, n_cut):
-        partial += n ** (-s)
-    x = n_cut ** (-s)
-    tail = n_cut * x / (s - 1) + 0.5 * x
-    factors = _em_factors(depth + 1)
-    # w = (s)_{2r-1} N^(1-s-2r), the correction without its Bernoulli
-    # factor; each step multiplies by (s+2r-1)(s+2r)/N^2, so no depth can
-    # overflow where the bound is small.
-    w = s * x / n_cut
-    scale = 1.0 / (n_cut * n_cut)
-    corr = 0j
-    size = 0.0  # sum of |corrections|
-    for r in range(1, depth + 1):
-        term = factors[r] * w
-        corr += term
-        size += abs(term)
-        w *= (s + (2 * r - 1)) * (s + 2 * r) * scale
-    value = partial + tail + corr
     # Rounding, in units of u.  CPython forms n^-s as n^-sigma (cos, sin)
     # (t log n), two roundings in the phase, so n^-s carries a relative
     # error of at most 2 |t| log n + c; c = 20 covers pow, cos/sin, the
@@ -204,6 +183,30 @@ def _zeta_euler_maclaurin(s: complex) -> EvalResult:
     a = (1 - sigma) * log_n
     z = 1 + (math.expm1(min(a, 700.0)) / (1 - sigma) if a else log_n)
     power = 2 * abs(s.imag) * log_n + 20
+    if scale * (_U * (power + n_cut) * z) > PRECISION_LOSS_THRESHOLD:
+        # The partial sum's share of the rounding bound alone is too large:
+        # refuse before summing.
+        raise PrecisionLoss(f"rounding over N = {n_cut:.3g} terms at s = {s} alone "
+                            f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
+    partial = 0j
+    for n in range(1, n_cut):
+        partial += n ** (-s)
+    x = n_cut ** (-s)
+    tail = n_cut * x / (s - 1) + 0.5 * x
+    factors = _em_factors(depth + 1)
+    # w = (s)_{2r-1} N^(1-s-2r), the correction without its Bernoulli
+    # factor; each step multiplies by (s+2r-1)(s+2r)/N^2, so no depth can
+    # overflow where the bound is small.
+    w = s * x / n_cut
+    inv_n2 = 1.0 / (n_cut * n_cut)
+    corr = 0j
+    size = 0.0  # sum of |corrections|
+    for r in range(1, depth + 1):
+        term = factors[r] * w
+        corr += term
+        size += abs(term)
+        w *= (s + (2 * r - 1)) * (s + 2 * r) * inv_n2
+    value = partial + tail + corr
     mags = abs(x) * (n_cut / abs(s - 1) + 0.5) + size
     rounding = _U * ((power + n_cut) * z + (power + 10 * depth) * mags)
     return EvalResult(value, bound + rounding, n_cut + depth)
@@ -224,7 +227,8 @@ def _zeta_functional(s: complex) -> EvalResult:
         prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma_lanczos(1 - s)
     except OverflowError:
         raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}") from None
-    inner = _zeta_euler_maclaurin(1 - s)
+    # Multiplied, not divided: the prefactor is exactly 0 at the trivial zeros.
+    inner = _zeta_euler_maclaurin(1 - s, abs(prefactor))
     value = prefactor * inner.value
     # Relative error of the value beyond inner's: the Lanczos formula is
     # within 1712 u of Gamma on Re z >= 1/2 (its limit as |Im z| grows,
@@ -252,10 +256,8 @@ _LANCZOS_C = (
 
 
 def _gamma_lanczos(z: complex) -> complex:
-    """Complex gamma function, Lanczos approximation (g=7, 9 coefficients),
-    with reflection for Re(z) < 1/2."""
-    if z.real < 0.5:
-        return math.pi / (_sinpi(z) * _gamma_lanczos(1 - z))
+    """Complex gamma function for Re(z) >= 1/2, Lanczos approximation (g=7,
+    9 coefficients).  Its only caller passes 1 - s with Re(s) < 1/2."""
     z = z - 1
     x = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
@@ -277,8 +279,9 @@ def riemann_zeta(s: complex) -> EvalResult:
     like |Im s| log N u (u = 2^-53); the reflected branch scales it by the
     prefactor and adds the Gamma approximation's error.  A bound past
     PRECISION_LOSS_THRESHOLD raises PrecisionLoss: on the critical line
-    from about |Im s| = 3 10^4, and before any term is summed once N u
-    alone passes it.  Non-finite s raises DomainError.
+    from about |Im s| = 3 10^4, and before any term is summed once the
+    partial sum's share of the rounding bound alone passes it.  Non-finite
+    s raises DomainError.
     """
     s = _finite_arg(s)
     if abs(s - 1) < POLE_EXCLUSION_RADIUS:

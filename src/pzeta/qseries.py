@@ -28,6 +28,7 @@ check runs the exponential's recurrence on Fraction coefficients.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -63,14 +64,14 @@ def _divide_one_minus_q_power(c: list[int], j: int) -> None:
         c[n] += c[n - j]
 
 
-def _cycle_types(k: int) -> Iterator[tuple[int, dict[int, int]]]:
+def _cycle_types(k: int) -> Iterator[tuple[int, Counter]]:
     """For each partition lambda of k: the number k!/z_lambda of permutations
     of cycle type lambda, z_lambda = N(lambda) m_1!...m_k!, together with the
     multiplicity map."""
     k_factorial = math.factorial(k)
     for lam in enumerate_partitions_of_size(k):
-        mult = lam.multiplicities()
-        z = lam.norm()
+        mult = Counter(lam)
+        z = math.prod(lam)
         for mj in mult.values():
             z *= math.factorial(mj)
         yield k_factorial // z, mult
@@ -175,7 +176,7 @@ def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
         acc = Fraction(0)
         for lam in enumerate_partitions_of_size(k):
             term = Fraction(1)
-            for j, mj in lam.multiplicities().items():
+            for j, mj in Counter(lam).items():
                 term *= a[j - 1] ** mj / math.factorial(mj)
             acc += term
         if lhs[k] != acc:

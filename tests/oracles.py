@@ -1,21 +1,21 @@
 """Partition helpers that only the tests use, as oracles for the package.
 
-partition_from_multiplicities inverts Partition.multiplicities, and
-enumerate_partitions_fixed_length lists the bounded fixed-length partitions
-that the truncated direct sum and the restricted generating function fold.
+Partitions are weakly decreasing tuples of positive integers, as the
+package enumerates them.  partition_from_multiplicities inverts
+collections.Counter on a partition, and enumerate_partitions_fixed_length
+lists the bounded fixed-length partitions that the truncated direct sum and
+the restricted generating function fold.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from pzeta.partitions import Partition
 
-
-def partition_from_multiplicities(entries: Mapping[int, int]) -> Partition:
+def partition_from_multiplicities(entries: Mapping[int, int]) -> tuple[int, ...]:
     """Rebuild a partition from a part -> multiplicity map.
 
-    Inverse of Partition.multiplicities: round-tripping either way is exact.
+    Inverse of collections.Counter: round-tripping either way is exact.
     """
     parts: list[int] = []
     for part in sorted(entries, reverse=True):
@@ -25,10 +25,10 @@ def partition_from_multiplicities(entries: Mapping[int, int]) -> Partition:
         if mult < 1:
             raise ValueError(f"multiplicities must be >= 1, got {mult} for part {part}")
         parts.extend([part] * mult)
-    return Partition(parts)
+    return tuple(parts)
 
 
-def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[Partition]:
+def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition with exactly ``k`` parts, all parts <= ``max_part``,
     each exactly once (ordered by ascending largest part).
 
@@ -48,5 +48,4 @@ def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[Partiti
             for rest in descend(remaining - 1, first):
                 yield (first,) + rest
 
-    for tup in descend(k, max_part):
-        yield Partition(tup)
+    yield from descend(k, max_part)

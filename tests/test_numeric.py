@@ -208,6 +208,15 @@ def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
             riemann_zeta(s)
 
 
+def test_zeta_refuses_on_the_partial_sums_rounding_before_summing():
+    # Here N u alone passes no threshold, but u (2 |t| log N + 20 + N) Z
+    # does; a value summed first would come back attached as ``partial``.
+    for s in (2 + 1e7j, 0.75 + 3e6j):
+        with pytest.raises(PrecisionLoss) as exc:
+            riemann_zeta(s)
+        assert exc.value.partial is None, s
+
+
 def test_zeta_forced_deep_corrections_stay_finite():
     # At t = 10^4 the planner is forced to its deepest depth, 80.  The
     # running Pochhammer term is rescaled by N^-2 each step, so it neither
@@ -343,7 +352,7 @@ def test_direct_sum_matches_explicit_enumeration():
             for max_part in (2, 5, 9):
                 got = direct_sum_truncated(s, k, max_part).value
                 want = sum(
-                    lam.norm() ** (-complex(s))
+                    math.prod(lam) ** (-complex(s))
                     for lam in enumerate_partitions_fixed_length(k, max_part)
                 )
                 assert abs(got - want) < 1e-12 * (1 + abs(want)), (s, k, max_part)

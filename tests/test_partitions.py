@@ -1,14 +1,16 @@
-"""Partition enumeration and statistics, pinned against independent oracles:
+"""Partition enumeration, pinned against independent oracles:
 the pentagonal-number recurrence for partition counts, brute-force recursive
 enumeration, and nested-loop counting for bounded fixed-length partitions."""
 
+import math
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from oracles import enumerate_partitions_fixed_length, partition_from_multiplicities
-from pzeta.partitions import Partition, enumerate_partitions_of_size
+from pzeta.partitions import enumerate_partitions_of_size
 
 
 # --- oracles -----------------------------------------------------------------
@@ -45,65 +47,46 @@ def brute_force_partitions(n: int, cap: int | None = None) -> list[tuple[int, ..
     return out
 
 
-# --- Partition ---------------------------------------------------------------
-
-def test_constructor_rejects_increasing_parts():
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-
-
-def test_constructor_rejects_nonpositive_parts():
-    with pytest.raises(ValueError):
-        Partition([3, 0])
-    with pytest.raises(ValueError):
-        Partition([-1])
-
+# --- statistics of enumerated partitions ---------------------------------------
 
 def test_statistics_of_small_partition():
-    lam = Partition([3, 2, 2])
-    assert lam.size == 7
-    assert lam.length == 3
-    assert lam.norm() == 12
-    assert lam.multiplicities() == {3: 1, 2: 2}
-    assert str(lam) == "[3,2,2]"
+    lam = (3, 2, 2)
+    assert lam in enumerate_partitions_of_size(7)
+    assert sum(lam) == 7
+    assert len(lam) == 3
+    assert math.prod(lam) == 12
+    assert Counter(lam) == {3: 1, 2: 2}
 
 
 def test_empty_partition():
-    lam = Partition()
-    assert lam.size == 0
-    assert lam.length == 0
-    assert lam.norm() == 1
-    assert lam.multiplicities() == {}
-    assert str(lam) == "[]"
+    # The k = 0 convention: one empty partition of norm 1.
+    (lam,) = enumerate_partitions_of_size(0)
+    assert sum(lam) == 0
+    assert len(lam) == 0
+    assert math.prod(lam) == 1
+    assert Counter(lam) == {}
 
 
 def test_norm_examples():
-    assert Partition([3, 1, 1]).norm() == 3
-    assert Partition([10, 10, 10]).norm() == 1000
-
-
-def test_norm_is_arbitrary_precision():
-    lam = Partition([10] * 30)
-    assert lam.norm() == 10**30  # exceeds any 64-bit integer
+    assert [math.prod(lam) for lam in enumerate_partitions_of_size(4)] == [4, 3, 4, 2, 1]
 
 
 def test_multiplicities_examples():
-    assert Partition([3, 1, 1]).multiplicities() == {1: 2, 3: 1}
-    assert Partition([2, 2, 2, 2]).multiplicities() == {2: 4}
+    got = [Counter(lam) for lam in enumerate_partitions_of_size(4)]
+    assert got == [{4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}]
 
 
 def test_multiplicity_round_trip_exhaustive_small():
     for k in range(9):
         for lam in enumerate_partitions_of_size(k):
-            assert partition_from_multiplicities(lam.multiplicities()) == lam
+            assert partition_from_multiplicities(Counter(lam)) == lam
 
 
 def test_multiplicity_round_trip_randomized():
     rng = random.Random(1131)
     for _ in range(200):
-        parts = sorted((rng.randint(1, 40) for _ in range(rng.randint(0, 12))), reverse=True)
-        lam = Partition(parts)
-        assert partition_from_multiplicities(lam.multiplicities()) == lam
+        lam = tuple(sorted((rng.randint(1, 40) for _ in range(rng.randint(0, 12))), reverse=True))
+        assert partition_from_multiplicities(Counter(lam)) == lam
 
 
 def test_from_multiplicities_rejects_bad_entries():
@@ -118,11 +101,11 @@ def test_from_multiplicities_rejects_bad_entries():
 # --- enumerate_partitions_of_size --------------------------------------------
 
 def test_size_zero_enumeration():
-    assert list(enumerate_partitions_of_size(0)) == [Partition()]
+    assert list(enumerate_partitions_of_size(0)) == [()]
 
 
 def test_size_four_reverse_lex_order():
-    got = [lam.parts for lam in enumerate_partitions_of_size(4)]
+    got = list(enumerate_partitions_of_size(4))
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
@@ -141,7 +124,7 @@ def test_counts_match_pentagonal_oracle_up_to_30():
 
 def test_matches_brute_force_sets():
     for k in range(13):
-        ours = {lam.parts for lam in enumerate_partitions_of_size(k)}
+        ours = set(enumerate_partitions_of_size(k))
         assert ours == set(brute_force_partitions(k))
 
 
@@ -149,22 +132,24 @@ def test_no_duplicates_and_valid_statistics():
     for k in range(13):
         seen = set()
         for lam in enumerate_partitions_of_size(k):
-            assert lam.parts not in seen
-            seen.add(lam.parts)
-            assert lam.size == k
-            assert all(lam.parts[i] >= lam.parts[i + 1] for i in range(len(lam.parts) - 1))
-            mult = lam.multiplicities()
+            assert type(lam) is tuple
+            assert lam not in seen
+            seen.add(lam)
+            assert sum(lam) == k
+            assert all(p >= 1 for p in lam)
+            assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
+            mult = Counter(lam)
             assert sum(j * m for j, m in mult.items()) == k
-            assert sum(mult.values()) == lam.length
+            assert sum(mult.values()) == len(lam)
             prod = 1
             for j, m in mult.items():
                 prod *= j**m
-            assert prod == lam.norm()
+            assert prod == math.prod(lam)
 
 
 def test_reverse_lex_is_strictly_decreasing():
     for k in (5, 9, 12):
-        tuples = [lam.parts for lam in enumerate_partitions_of_size(k)]
+        tuples = list(enumerate_partitions_of_size(k))
         assert tuples == sorted(tuples, reverse=True)
 
 
@@ -176,12 +161,12 @@ def test_negative_size_rejected():
 # --- enumerate_partitions_fixed_length ---------------------------------------
 
 def test_fixed_length_k2_m2():
-    got = [lam.parts for lam in enumerate_partitions_fixed_length(2, 2)]
+    got = list(enumerate_partitions_fixed_length(2, 2))
     assert got == [(1, 1), (2, 1), (2, 2)]
 
 
 def test_fixed_length_k3_m2():
-    got = [lam.parts for lam in enumerate_partitions_fixed_length(3, 2)]
+    got = list(enumerate_partitions_fixed_length(3, 2))
     assert got == [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
 
 
@@ -209,8 +194,8 @@ def test_fixed_length_counts_match_binomial():
 
 def test_fixed_length_shape_constraints():
     for lam in enumerate_partitions_fixed_length(4, 6):
-        assert lam.length == 4
-        assert max(lam.parts) <= 6
+        assert len(lam) == 4
+        assert max(lam) <= 6
 
 
 def test_fixed_length_rejects_bad_arguments():

@@ -1,5 +1,6 @@
 """The O(k^2) Newton recurrence behind both F_k routes, checked against the
-explicit partition-sum formula.
+explicit partition-sum formula, and exact F_k(4) against the s = 2 closed
+form.
 
 The oracle below enumerates every partition of k and sums
 prod_j zeta(js)^{m_j} / (N(lambda) prod_j m_j!) term by term.  It lives only
@@ -9,11 +10,9 @@ never enumerates partitions for it.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
-import pytest
-
-from pzeta.errors import ExponentMismatch
 from pzeta.exact import (
     PiPower,
     partition_zeta_exact,
@@ -28,8 +27,8 @@ from pzeta.partitions import complete_homogeneous, enumerate_partitions_of_size
 
 def _weight(lam) -> int:
     # N(lambda) * m_1! * ... * m_k!
-    denom = lam.norm()
-    for mj in lam.multiplicities().values():
+    denom = math.prod(lam)
+    for mj in Counter(lam).values():
         denom *= math.factorial(mj)
     return denom
 
@@ -40,7 +39,7 @@ def partition_sum_exact(m: int, k: int) -> PiPower:
     total = Fraction(0)
     for lam in enumerate_partitions_of_size(k):
         num, den = 1, _weight(lam)
-        for j, mj in lam.multiplicities().items():
+        for j, mj in Counter(lam).items():
             num *= coeffs[j].numerator ** mj
             den *= coeffs[j].denominator ** mj
         total += Fraction(num, den)
@@ -55,7 +54,7 @@ def partition_sum_numeric(s: complex, k: int) -> tuple[complex, float, float]:
     for lam in enumerate_partitions_of_size(k):
         denom = _weight(lam)
         v, v_abs, v_hi = 1 + 0j, 1.0, 1.0
-        for j, mj in lam.multiplicities().items():
+        for j, mj in Counter(lam).items():
             z = zetas[j]
             v *= z.value**mj
             v_abs *= abs(z.value) ** mj
@@ -86,19 +85,9 @@ def test_complete_homogeneous_agrees_across_number_types():
     exact = complete_homogeneous(p, Fraction(1))
     floats = complete_homogeneous([float(x) for x in p], 1.0)
     cplx = complete_homogeneous([complex(x) for x in p], 1 + 0j)
-    pis = complete_homogeneous([PiPower(x, 2 * (j + 1)) for j, x in enumerate(p)],
-                               PiPower(Fraction(1), 0))
     for n in range(11):
-        assert pis[n] == PiPower(exact[n], 2 * n)
         assert abs(floats[n] - float(exact[n])) <= 1e-12 * (1 + abs(float(exact[n])))
         assert abs(cplx[n] - float(exact[n])) <= 1e-12 * (1 + abs(float(exact[n])))
-
-
-def test_complete_homogeneous_checks_pi_exponents():
-    # p_2 carries pi^2 where pi^4 belongs: h_2 adds a pi^4 and a pi^2 term.
-    with pytest.raises(ExponentMismatch):
-        complete_homogeneous([PiPower(Fraction(1), 2), PiPower(Fraction(1), 2)],
-                             PiPower(Fraction(1), 0))
 
 
 # --- exact route ------------------------------------------------------------------
@@ -107,6 +96,20 @@ def test_exact_matches_partition_sum_oracle():
     for m in (1, 2, 3):
         for k in range(0, 26):
             assert partition_zeta_exact(m, k) == partition_sum_exact(m, k), (m, k)
+
+
+def test_exact_at_four_matches_product_of_twos():
+    # prod_n 1/(1 - x n^-4) = prod_n 1/(1 - y n^-2) * prod_n 1/(1 + y n^-2)
+    # with x = y^2, so F_k(4) = sum_{a+b=2k} (-1)^b F_a(2) F_b(2): the s = 2
+    # closed form alone, never complete_homogeneous.
+    def f_at_two(a: int) -> Fraction:  # F_a(2) / pi^(2a)
+        if a == 0:
+            return Fraction(1)
+        return (zeta2_family_coefficient(a) * zeta_even_exact(2 * a)).coeff
+
+    for k in [*range(41), 60, 100]:
+        want = sum((-1) ** b * f_at_two(2 * k - b) * f_at_two(b) for b in range(2 * k + 1))
+        assert partition_zeta_exact(2, k) == PiPower(want, 4 * k), k
 
 
 def test_exact_closed_form_at_large_k():
