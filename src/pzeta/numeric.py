@@ -7,7 +7,8 @@ sums over bounded partitions, restricted Euler products, and pole orders.
 
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error bound (heuristic only for the Euler
-products' tail).  For zeta it is the Euler-Maclaurin remainder bound plus
+products' tail; euler_product_eval describes their real float64 kernel).
+For zeta it is the Euler-Maclaurin remainder bound plus
 a derived rounding bound (and, on the reflected branch, the Gamma
 factor's error); zeta results whose bound exceeds
 PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
@@ -144,13 +145,13 @@ def _em_plan(s: complex) -> tuple[int, int, float]:
     the cheapest pair (cost N + 4M) whose bound meets 1e-16.  Depths are
     scanned upwards and the scan stops once the cost starts rising.  Every
     caller has sigma >= 1/2, so no Pochhammer factor vanishes."""
-    sigma, t2 = s.real, s.imag * s.imag
+    sigma, t = s.real, s.imag
     best = math.inf
     log_poch = 0.0  # log |(s)_2M|
     for m in range(1, _MAX_CORRECTIONS + 1):
         e = sigma + (2 * m - 1)
-        # |s + 2M - 2|^2 |s + 2M - 1|^2
-        log_poch += 0.5 * math.log(((e - 1) * (e - 1) + t2) * (e * e + t2))
+        # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
+        log_poch += math.log(math.hypot(e - 1, t)) + math.log(math.hypot(e, t))
         log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - math.log(e)
         n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
         cost = n + _CORRECTION_COST * m
@@ -438,9 +439,18 @@ class ProductForm:
 def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalResult:
     """Evaluate a restricted Euler product over parts up to max_factor.
 
-    Accumulates in the log domain and applies a first-order tail correction:
-    the admitted density near the truncation point times the integral bound
-    max_factor^(1-s)/(s-1).  Requires Re(s) > 1.
+    One array pass over the admitted parts, built as float64 (for a subset
+    form, from the predicate called once per int): with sign = +1 for
+    distinct parts and -1 otherwise, the log of the product is
+    sign * sum log(1 + x), x = sign * n^-s.  Real s takes one np.log1p;
+    complex s takes log|1 + x| = log1p(re (2 + re) + im^2) / 2 and
+    arg(1 + x) = atan2(im, 1 + re), both accurate at every |x|.  The tail
+    correction is the admitted density over the top W = max_factor -
+    max_factor // 2 parts times max_factor^(1-s)/(s-1).  Requires Re(s) > 1.
+
+    est_error (heuristic for an arbitrary predicate) is |value| times the
+    next-order tail terms, the density's uncertainty 1/W times the tail
+    integral, and 1e-13 for rounding.  The value is real at real s.
     """
     import numpy as np
 
@@ -451,37 +461,27 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     if max_factor < 1:
         raise ValueError("max_factor must be >= 1")
     _check_exponent(s, max_factor)
-    n = np.arange(1, max_factor + 1)
-    if form.kind == "distinct":
-        mask = np.ones(max_factor, dtype=bool)
-    elif form.kind == "not_one":
-        mask = n >= 2
-    elif form.kind == "subset":
-        mask = np.fromiter(
-            map(form.admits, range(1, max_factor + 1)), dtype=bool, count=max_factor)
+    if form.kind == "subset":
+        parts = np.fromiter(filter(form.admits, range(1, max_factor + 1)), dtype=np.float64)
+    elif form.kind in ("distinct", "not_one"):
+        parts = np.arange(1 if form.kind == "distinct" else 2, max_factor + 1, dtype=np.float64)
     else:
         raise ValueError(f"unknown product form kind {form.kind!r}")
-    # log(1 + x) with x = n^-s for distinct parts, else -log(1 - n^-s).
-    # numpy's complex log1p is inaccurate for tiny arguments; switch to the
-    # three-term series below 1e-4, where its truncation error is < 1e-16.
-    negate = form.kind != "distinct"
-    base = n[mask].astype(np.float64) ** (-s)
-    x = -base if negate else base
-    logs = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    logs[small] = xs * (1 - xs * (0.5 - xs / 3))
-    logs[~small] = np.log(1 + x[~small])
-    log_sum = complex(np.sum(-logs if negate else logs))
-    # Density of admitted parts over the top half of the range; the tail
-    # correction extrapolates it past the truncation point (heuristic).
-    window = mask[max_factor // 2 :]
-    density = float(np.count_nonzero(window)) / len(window)
-    tail = density * max_factor ** (1 - s) / (s - 1)
-    value = cmath.exp(log_sum + tail)
+    window = max_factor - max_factor // 2
+    density = (len(parts) - int(np.searchsorted(parts, max_factor // 2 + 1))) / window
+    sign = 1.0 if form.kind == "distinct" else -1.0
+    if s.imag == 0:
+        x = sign * parts ** -sigma
+        log_sum = float(np.sum(np.log1p(x, out=x)))
+    else:
+        mod, phase = sign * parts ** -sigma, s.imag * np.log(parts)
+        re, im = mod * np.cos(phase), -mod * np.sin(phase)
+        log_sum = complex(0.5 * float(np.sum(np.log1p(re * (2 + re) + im * im))),
+                          float(np.sum(np.arctan2(im, 1 + re))))
+    value = cmath.exp(sign * log_sum + density * max_factor ** (1 - s) / (s - 1))
     est = abs(value) * (
         density * (sigma * max_factor ** (-sigma)
                    + max_factor ** (1 - 2 * sigma) / (2 * sigma - 1))
-        + 1e-13
+        + max_factor ** (1 - sigma) / ((sigma - 1) * window) + 1e-13
     )
-    return _finite(EvalResult(value, est, int(np.count_nonzero(mask))))
+    return _finite(EvalResult(value, est, len(parts)))

@@ -100,6 +100,12 @@ def test_eval_matches_library(capsys):
     assert doc["value"]["im"] == want.value.imag
 
 
+def test_eval_far_right_is_one(capsys):
+    code, out = run_cli(capsys, "eval", "--s", "1e300", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 1.0, "im": 0.0}
+
+
 def test_oracle_payload(capsys):
     code, out = run_cli(capsys, "oracle", "--s", "2", "--k", "2", "--max-part", "2")
     doc = json.loads(out)

@@ -229,6 +229,16 @@ def test_zeta_forced_deep_corrections_stay_finite():
     assert cmath.isfinite(got.value) and got.est_error < 1e-8
 
 
+def test_zeta_far_right_is_one():
+    # The planner's Pochhammer factors are logged one at a time, so Re s
+    # past 1e77 no longer overflows their product into a huge cutoff.
+    for s in (1e77, 1e78, 1e300, 1e300 + 5j):
+        got = riemann_zeta(s)
+        assert got.value == 1, s
+        assert got.terms_used == 3 and got.est_error < 1e-14, s
+    assert partition_zeta_family(1e300, 3).value == 1
+
+
 def _mpmath_zeta(mpmath, s):
     return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
 
@@ -451,6 +461,51 @@ def test_product_error_estimate_is_honest():
     for nmax in (10000, 100000):
         got = euler_product_eval(ProductForm.parts_not_one(), 2, nmax)
         assert abs(got.value - 2) <= got.est_error, nmax
+
+
+def test_product_est_error_bounds_periodic_subsets():
+    # The tail density is counted over W = N - N//2 parts, so it is off by
+    # up to 1/W; est_error carries that.  Closed forms: the products over
+    # multiples of 2 and of 3 of 1/(1 - n^-2) are pi/2 and 2 pi/(3 sqrt 3).
+    sizes = [*range(10**4, 10**4 + 60), *range(10**5, 10**5 + 20)]
+    for modulus, want in ((2, math.pi / 2), (3, 2 * math.pi / (3 * math.sqrt(3)))):
+        form = ProductForm.subset_parts(lambda n: n % modulus == 0)
+        for n_max in sizes:
+            got = euler_product_eval(form, 2, n_max)
+            assert abs(got.value - want) <= got.est_error, (modulus, n_max)
+
+
+@pytest.mark.parametrize("form, lo, sign", [
+    (ProductForm.distinct_parts(), 1, 1),
+    (ProductForm.parts_not_one(), 2, -1),
+    (ProductForm.subset_parts(lambda n: n % 3 == 0), 3, -1),
+], ids=["distinct", "not_one", "multiples_of_3"])
+@pytest.mark.parametrize("s", [2 + 5j, 3 - 1j])
+def test_product_kernel_matches_mpmath_at_complex_s(form, lo, sign, s):
+    # The finite product at 40 digits times the same first-order tail
+    # factor: this checks the log1p/atan2 kernel, not the tail model.
+    mpmath = pytest.importorskip("mpmath")
+    n_max = 3000
+    parts = range(lo, n_max + 1, lo if form.kind == "subset" else 1)
+    window = n_max - n_max // 2
+    density = sum(1 for n in parts if n > n_max // 2) / window
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s.real, s.imag)
+        log_prod = sign * mpmath.fsum(mpmath.log(1 + sign * mpmath.power(n, -z)) for n in parts)
+        want = complex(mpmath.exp(log_prod + density * mpmath.power(n_max, 1 - z) / (z - 1)))
+    got = euler_product_eval(form, s, n_max)
+    assert abs(got.value - want) <= 1e-13 * abs(want)
+    assert got.terms_used == len(parts)
+
+
+@pytest.mark.parametrize("form", [
+    ProductForm.distinct_parts(), ProductForm.parts_not_one(),
+    ProductForm.subset_parts(lambda n: n % 2 == 0)], ids=["distinct", "not_one", "even"])
+def test_product_at_real_s_is_real(form):
+    for s in (2, 3.5, 1.25):
+        got = euler_product_eval(form, s, 1000)
+        assert got.value.imag == 0.0 and math.copysign(1.0, got.value.imag) == 1.0
+        assert got == euler_product_eval(form, complex(s, 0), 1000)
 
 
 def test_product_complex_argument_stays_finite():
