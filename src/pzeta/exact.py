@@ -5,8 +5,9 @@ Every computation in this module is exact; no floating point enters any
 intermediate.  Rationals are stdlib ``fractions.Fraction`` values, which are
 always reduced to lowest terms with a positive denominator.  The power of pi
 in each result is fixed by its arguments before any arithmetic starts, so
-all arithmetic runs on the rational coefficients and PiPower only records
-the pair.
+PiPower only records the pair.  Partition zeta values run their recurrence
+on plain ints scaled by a denominator bound that von Staudt-Clausen proves,
+and reduce one Fraction per value at the end.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .partitions import complete_homogeneous
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -114,18 +113,56 @@ def partition_zeta_exact(m: int, k: int) -> PiPower:
     """Fixed-length partition zeta value at even argument s = 2m, exactly.
 
     The sum, over the partitions of k, of zeta(2m)^{m_1} ... zeta(2mk)^{m_k}
-    divided by N(lambda) * m_1! * ... * m_k!, computed as h_k(zeta(2m), ...,
-    zeta(2mk)) by complete_homogeneous in O(k^2); the result is a rational
-    multiple of pi^(2mk).  k = 0 gives 1 by convention.
+    divided by N(lambda) * m_1! * ... * m_k!, that is h_k(zeta(2m), ...,
+    zeta(2mk)): a rational multiple of pi^(2mk).  Newton's recurrence
+    n h_n = sum_j zeta(2mj) h_{n-j} runs in O(k^2) products of plain ints on
+    a scale that makes every step an exact integer, and one Fraction is
+    reduced at the end.  k = 0 gives 1 by convention.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    # Every term of h_k carries pi^(2m |lambda|) = pi^(2mk): run on the
-    # rational coefficients alone.
-    coeffs = [zeta_even_exact(2 * m * j).coeff for j in range(1, k + 1)]
-    return PiPower(complete_homogeneous(coeffs, Fraction(1))[k], 2 * m * k)
+    # Every term of h_k carries pi^(2mk), so the recurrence runs on
+    # c_j = zeta(2mj) / pi^(2mj) = 2^(2mj-1) |B_2mj| / (2mj)! and gives
+    # h_n = F_n(2m) / pi^(2mn).
+    #
+    # The scale.  Let d_i be the denominator of B_2mi, Q_n = d_1 ... d_n,
+    # E_n = (2mn)! Q_n and W_n = n! E_n.  Then C_j = c_j E_j =
+    # 2^(2mj-1) |numerator of B_2mj| Q_(j-1) is an integer, and so is
+    # G_n = h_n W_n: multiplied out, n h_n = sum_j c_j h_(n-j) reads
+    #     G_n = sum_(j=1..n) A_(n,j) C_j G_(n-j),
+    #     A_(n,j) = [(n-1)! / (n-j)!] C(2mn, 2mj) [Q_n / (Q_j Q_(n-j))].
+    # The first two factors of A_(n,j) are integers, and so is the third.
+    # By von Staudt-Clausen d_i is the product of the primes p with
+    # (p-1) | 2mi.  With g_p = gcd(p-1, 2m) and r_p = (p-1) / g_p, that
+    # holds iff r_p | i, because r_p is prime to 2m / g_p.  So
+    # Q_n = prod_p p^floor(n / r_p), and floor(x+y) >= floor(x) + floor(y).
+    #
+    # The loop.  A_(n,j) = [(n-1)! / (n-j)!] E_n / (E_j E_(n-j)), so with
+    # delta_i = E_i / E_(i-1) = [(2mi)! / (2mi-2m)!] d_i, A_(n,1) =
+    # delta_n / delta_1 and A_(n,j) = A_(n,j-1) (n-j+1) delta_(n-j+1) /
+    # delta_j.  Each floor division below therefore has the integer
+    # A_(n,j) as its exact quotient.  All terms are positive.
+    two_m = 2 * m
+    bernoulli = bernoulli_numbers(two_m * k)
+    c, delta, q = [0], [1], 1
+    for j in range(1, k + 1):
+        b = bernoulli[two_m * j]
+        c.append((abs(b.numerator) << (two_m * j - 1)) * q)
+        q *= b.denominator
+        delta.append(math.perm(two_m * j, two_m) * b.denominator)
+    up = [i * d for i, d in enumerate(delta)]
+    g = [1]
+    for n in range(1, k + 1):
+        a = delta[n] // delta[1]
+        total = a * g[n - 1] * c[1]
+        for j in range(2, n + 1):
+            a = a * up[n - j + 1] // delta[j]
+            total += a * g[n - j] * c[j]
+        g.append(total)
+    w = math.factorial(k) * math.factorial(two_m * k) * q
+    return PiPower(Fraction(g[k], w), two_m * k)
 
 
 def zeta2_family_coefficient(k: int) -> Fraction:

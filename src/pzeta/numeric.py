@@ -175,16 +175,22 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0) -> EvalResult:
     # error of at most 2 |t| log n + c; c = 20 covers pow, cos/sin, the
     # products and the repeated squaring CPython uses for integer s <= 100.
     # Adding to the partial sum errs by at most |S_k| <= Z per term, with
-    # Z = sum_{n<N} n^-sigma <= 1 + int_1^N x^-sigma and log n <= log N.
+    # Z = sum_{n<N} n^-sigma <= 1 + Z1, Z1 = int_1^N x^-sigma, and
+    # log n <= log N.  The n = 1 term 1 ** -s is exactly 1 + 0j, and adding
+    # it to 0j is exact, so the phase share 2 |t| log n only falls on
+    # sum_{2<=n<N} n^-sigma <= Z1: the partial sum errs by at most
+    # u ((20 + N) Z + 2 |t| log N Z1).  Far right N = 2 and Z1 is about
+    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma.
     # The integral and half-term carry the error of N^-s plus a few
     # roundings; correction r adds at most 9r more in w and its Bernoulli
     # factor, and summing M corrections M more.
     sigma = s.real
     log_n = math.log(n_cut)
     a = (1 - sigma) * log_n
-    z = 1 + (math.expm1(min(a, 700.0)) / (1 - sigma) if a else log_n)
-    power = 2 * abs(s.imag) * log_n + 20
-    if scale * (_U * (power + n_cut) * z) > PRECISION_LOSS_THRESHOLD:
+    z1 = math.expm1(min(a, 700.0)) / (1 - sigma) if a else log_n
+    phase = 2 * abs(s.imag) * log_n
+    summed = (20 + n_cut) * (1 + z1) + phase * z1
+    if scale * (_U * summed) > PRECISION_LOSS_THRESHOLD:
         # The partial sum's share of the rounding bound alone is too large:
         # refuse before summing.
         raise PrecisionLoss(f"rounding over N = {n_cut:.3g} terms at s = {s} alone "
@@ -209,7 +215,7 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0) -> EvalResult:
         w *= (s + (2 * r - 1)) * (s + 2 * r) * inv_n2
     value = partial + tail + corr
     mags = abs(x) * (n_cut / abs(s - 1) + 0.5) + size
-    rounding = _U * ((power + n_cut) * z + (power + 10 * depth) * mags)
+    rounding = _U * (summed + (phase + 20 + 10 * depth) * mags)
     return EvalResult(value, bound + rounding, n_cut + depth)
 
 

@@ -1,6 +1,7 @@
 """Command line interface: argument parsing, pinned JSON bytes, round-trip
 stability, exit codes, and the text renderer."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -56,6 +57,17 @@ def test_exact_m1_k2_pinned_bytes(capsys):
     assert out == '{"coeff":"7/360","pi_power":4}\n'
 
 
+def test_exact_pinned_bytes_digest(capsys):
+    # One sha256 over the output of every exact --m M --k K, M <= 3, K <= 40.
+    digest = hashlib.sha256()
+    for m in (1, 2, 3):
+        for k in range(41):
+            code, out = run_cli(capsys, "exact", "--m", str(m), "--k", str(k))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == "49c24f50d6ff82ca76543509fa7eb3629cfffb4cf043cc1f93dd573afd5e8ce8"
+
+
 def test_macmahon_k2_pinned_bytes(capsys):
     code, out = run_cli(capsys, "macmahon", "--k", "2")
     assert code == 0
@@ -101,9 +113,10 @@ def test_eval_matches_library(capsys):
 
 
 def test_eval_far_right_is_one(capsys):
-    code, out = run_cli(capsys, "eval", "--s", "1e300", "--k", "3")
-    assert code == 0
-    assert json.loads(out)["value"] == {"re": 1.0, "im": 0.0}
+    for argv in (("--s", "1e300", "--k", "3"), ("--s=1e200+1e200i", "--k", "1")):
+        code, out = run_cli(capsys, "eval", *argv)
+        assert code == 0, out
+        assert json.loads(out)["value"] == {"re": 1.0, "im": 0.0}
 
 
 def test_oracle_payload(capsys):

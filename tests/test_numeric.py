@@ -231,8 +231,10 @@ def test_zeta_forced_deep_corrections_stay_finite():
 
 def test_zeta_far_right_is_one():
     # The planner's Pochhammer factors are logged one at a time, so Re s
-    # past 1e77 no longer overflows their product into a huge cutoff.
-    for s in (1e77, 1e78, 1e300, 1e300 + 5j):
+    # past 1e77 no longer overflows their product into a huge cutoff.  At
+    # 1e200 + 1e200i, 2^-s underflows to 0 and 1 ** -s is exactly 1, so the
+    # phase error 2 |t| log N u falls on no term of nonzero modulus.
+    for s in (1e77, 1e78, 1e300, 1e300 + 5j, 1e200 + 1e200j):
         got = riemann_zeta(s)
         assert got.value == 1, s
         assert got.terms_used == 3 and got.est_error < 1e-14, s

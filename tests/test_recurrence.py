@@ -1,11 +1,12 @@
 """The O(k^2) Newton recurrence behind both F_k routes, checked against the
-explicit partition-sum formula, and exact F_k(4) against the s = 2 closed
-form.
+explicit partition-sum formula, and exact F_k(4) and F_k(6) against the
+s = 2 closed form through the square and cube roots of unity.
 
 The oracle below enumerates every partition of k and sums
 prod_j zeta(js)^{m_j} / (N(lambda) prod_j m_j!) term by term.  It lives only
-here: the package computes F_k through partitions.complete_homogeneous and
-never enumerates partitions for it.
+here: the package computes F_k by the recurrence (the numeric route through
+partitions.complete_homogeneous, the exact one on scaled ints) and never
+enumerates partitions for it.
 """
 
 import math
@@ -93,23 +94,44 @@ def test_complete_homogeneous_agrees_across_number_types():
 # --- exact route ------------------------------------------------------------------
 
 def test_exact_matches_partition_sum_oracle():
-    for m in (1, 2, 3):
-        for k in range(0, 26):
+    # The integer scale gains a factor p every (p - 1) / gcd(p - 1, 2m)
+    # steps, so m = 4, 5, 6 exercise scales that m <= 3 never reach.
+    for m in range(1, 7):
+        for k in range(0, 26 if m <= 3 else 13):
             assert partition_zeta_exact(m, k) == partition_sum_exact(m, k), (m, k)
+
+
+def _f_at_two(a: int) -> Fraction:  # F_a(2) / pi^(2a) from the s = 2 closed form
+    if a == 0:
+        return Fraction(1)
+    return (zeta2_family_coefficient(a) * zeta_even_exact(2 * a)).coeff
 
 
 def test_exact_at_four_matches_product_of_twos():
     # prod_n 1/(1 - x n^-4) = prod_n 1/(1 - y n^-2) * prod_n 1/(1 + y n^-2)
     # with x = y^2, so F_k(4) = sum_{a+b=2k} (-1)^b F_a(2) F_b(2): the s = 2
-    # closed form alone, never complete_homogeneous.
-    def f_at_two(a: int) -> Fraction:  # F_a(2) / pi^(2a)
-        if a == 0:
-            return Fraction(1)
-        return (zeta2_family_coefficient(a) * zeta_even_exact(2 * a)).coeff
-
+    # closed form alone, never the recurrence.
     for k in [*range(41), 60, 100]:
-        want = sum((-1) ** b * f_at_two(2 * k - b) * f_at_two(b) for b in range(2 * k + 1))
+        want = sum((-1) ** b * _f_at_two(2 * k - b) * _f_at_two(b) for b in range(2 * k + 1))
         assert partition_zeta_exact(2, k) == PiPower(want, 4 * k), k
+
+
+def test_exact_at_six_matches_cube_roots_of_two():
+    # 1 - x^3 n^-6 = prod_w (1 - w x n^-2) over the cube roots of unity w,
+    # so sum_k F_k(6) x^(3k) = G(x) G(wx) G(w^2 x) with G(y) = sum_a F_a(2) y^a.
+    # The x^(3k) coefficient is sum_{a+b+c=3k} g_a g_b g_c w^(b-c), and
+    # pairing (b, c) with (c, b) leaves Re w^(b-c): 1 if 3 | b - c, else
+    # -1/2, which is (3 same - every) / 2 over the two sums below.
+    for k in [*range(13), 25, 40]:
+        g = [_f_at_two(a) for a in range(3 * k + 1)]
+        same = every = Fraction(0)
+        for b in range(3 * k + 1):
+            for c in range(3 * k + 1 - b):
+                term = g[b] * g[c] * g[3 * k - b - c]
+                every += term
+                if (b - c) % 3 == 0:
+                    same += term
+        assert partition_zeta_exact(3, k) == PiPower((3 * same - every) / 2, 6 * k), k
 
 
 def test_exact_closed_form_at_large_k():
