@@ -41,6 +41,7 @@ from .numeric import (
     euler_product_eval,
     partition_zeta_family,
     pole_order_estimate,
+    restricted_genfun_coeffs,
     riemann_zeta,
     truncation_error_estimate,
 )
@@ -51,7 +52,6 @@ from .qseries import (
     macmahon_exact_identity,
     macmahon_lhs,
     macmahon_rhs,
-    restricted_genfun_coeffs,
 )
 
 __version__ = "0.1.0"
@@ -72,6 +72,7 @@ __all__ = [
     "riemann_zeta",
     "partition_zeta_family",
     "direct_sum_truncated",
+    "restricted_genfun_coeffs",
     "truncation_error_estimate",
     "pole_order_estimate",
     "euler_product_eval",
@@ -83,7 +84,6 @@ __all__ = [
     "macmahon_rhs",
     "macmahon_exact_identity",
     "faa_di_bruno_check",
-    "restricted_genfun_coeffs",
     # errors
     "DomainError",
     "PoleAt1",

@@ -226,7 +226,7 @@ def _cmd_euler_product(args) -> tuple[dict, int]:
 
 
 def _cmd_genfun(args) -> tuple[dict, int]:
-    coeffs = qseries.restricted_genfun_coeffs(args.s, args.max_part, args.k_max)
+    coeffs = numeric.restricted_genfun_coeffs(args.s, args.max_part, args.k_max)
     payload = {
         "k_max": args.k_max,
         "max_part": args.max_part,
@@ -287,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (DomainError, ModuleNotFoundError) as exc:
-        # ModuleNotFoundError: oracle and euler-product need numpy.
+        # ModuleNotFoundError: oracle, euler-product and genfun need numpy.
         _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt)
         return 1
     except ValueError as exc:

@@ -19,10 +19,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _decimal(n: int) -> str:
+    # Decimal digits of n >= 0.  str(int) refuses past a process-wide digit
+    # limit (4,300 by default, never below 640), so n past 2,000 bits (603
+    # digits) is split in two by a power of ten.
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Serialize a rational as "num/den" in lowest terms, e.g. "-7/360"."""
     q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    sign = "-" if q < 0 else ""
+    return f"{sign}{_decimal(abs(q.numerator))}/{_decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Riemann zeta through Euler-Maclaurin summation (reflected by the functional
 equation on the left half plane), fixed-length partition zeta values from
-zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, truncated direct
-sums over bounded partitions, restricted Euler products, and pole orders.
+zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, sums over bounded
+partitions, restricted Euler products, and pole orders.
 
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error bound (heuristic only for the Euler
@@ -17,9 +17,9 @@ rounding share alone is too large refuses before summing).  Non-finite s
 raises DomainError on every public entry, and so does an s for which
 s log n overflows in the routines that form n^-s up to a caller's cutoff.
 
-numpy is imported only inside the three array routines,
-direct_sum_truncated, truncation_error_estimate and euler_product_eval, so
-importing the package and the zeta, F_k and pole-order paths never load it.
+numpy is imported only inside restricted_genfun_coeffs,
+truncation_error_estimate and euler_product_eval, so importing the package
+and the zeta, F_k and pole-order paths never load it.
 """
 
 from __future__ import annotations
@@ -334,29 +334,47 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     return _finite(EvalResult(value, D[k], terms))
 
 
-def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
-    """Direct sum of N(lambda)^(-s) over the partitions with exactly k parts,
-    all parts <= max_part.  Requires Re(s) > 1.
+def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[complex]:
+    """Coefficients of z^0..z^k_max in prod_{n<=max_part} 1/(1 - z n^(-s)).
 
-    The sum runs over the weakly decreasing k-tuples in [1, max_part],
-    folded cumulatively over the largest part so the cost is k * max_part
-    operations rather than the partition count; it never consults zeta or
-    the partition-sum formula, so it stays an independent oracle (small
-    cases are pinned against the explicit enumeration in the tests).
-
-    est_error is truncation_error_estimate(s, k, max_part), an upper bound
-    on the distance to the full length-k sum.
+    The z^k coefficient is f_k(max_part), the sum of N(lambda)^(-s) over the
+    partitions with exactly k parts, all <= max_part.  The recurrence
+    f_t(n) = f_t(n-1) + n^-s f_(t-1)(n) is one cumulative sum per t, so the
+    cost is k_max * max_part operations; no zeta or partition-sum formula
+    enters, so it stays an independent oracle, pinned against explicit
+    enumeration in the tests.  Requires Re(s) > 1; non-finite s, or
+    s log max_part past the double range, raises DomainError.
     """
     import numpy as np
 
     s = _finite_arg(s)
-    est = truncation_error_estimate(s, k, max_part)
-    n = np.arange(1, max_part + 1, dtype=np.float64)
-    w = n ** (-s)
+    if s.real <= 1:
+        raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
+    if max_part < 1:
+        raise ValueError("max_part must be >= 1")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    _check_exponent(s, max_part)
+    w = np.arange(1, max_part + 1, dtype=np.float64) ** (-s)
     f = np.ones(max_part, dtype=np.complex128)
-    for _ in range(k):
+    out = [1 + 0j]
+    for _ in range(k_max):
         f = np.cumsum(w * f)
-    return _finite(EvalResult(complex(f[-1]), est, k * max_part))
+        out.append(complex(f[-1]))
+    return out
+
+
+def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
+    """Direct sum of N(lambda)^(-s) over the partitions with exactly k parts,
+    all parts <= max_part: the z^k coefficient of restricted_genfun_coeffs.
+    Requires Re(s) > 1.
+
+    est_error is truncation_error_estimate(s, k, max_part), an upper bound
+    on the distance to the full length-k sum.
+    """
+    est = truncation_error_estimate(s, k, max_part)
+    value = restricted_genfun_coeffs(s, max_part, k)[k]
+    return _finite(EvalResult(value, est, k * max_part))
 
 
 def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:

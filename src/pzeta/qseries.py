@@ -12,9 +12,6 @@ and the exponential partition identity
     exp(sum_j a_j x^j) = sum_k x^k sum over lambda of k of
                          prod_j a_j^{m_j} / m_j!
 
-plus the finite restricted generating function in z whose z^k coefficient
-reproduces the truncated direct sum over bounded partitions.
-
 The decomposition is checked on plain int coefficient lists.  With
 z_lambda = N(lambda) m_1!...m_k!, the weight k!/z_lambda counts the
 permutations of cycle type lambda, so it is an integer, and scaling both
@@ -33,20 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import DivergenceRegion
-from .numeric import _check_exponent, _finite_arg
+from .numeric import restricted_genfun_coeffs  # noqa: F401  also public as qseries.restricted_genfun_coeffs
 from .partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Exact coefficients of q^0..q^order of a power series."""
+    """Exact coefficients of q^0..q^(len(coeffs) - 1) of a power series."""
 
     coeffs: list
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _times_one_minus_q_power(c: list[int], j: int) -> list[int]:
@@ -182,29 +174,3 @@ def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
         if lhs[k] != acc:
             return False
     return True
-
-
-def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[complex]:
-    """Coefficients of z^0..z^k_max in prod_{n<=max_part} 1/(1 - z n^(-s)).
-
-    The z^k coefficient equals the direct sum of N(lambda)^(-s) over the
-    partitions with exactly k parts, all parts <= max_part: the same finite
-    sum the truncated oracle computes, reached through a different route.
-    Requires Re(s) > 1; non-finite s, or s log max_part past the double
-    range, raises DomainError.
-    """
-    s = _finite_arg(s)
-    if s.real <= 1:
-        raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
-    if max_part < 1:
-        raise ValueError("max_part must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    _check_exponent(s, max_part)
-    out = [1 + 0j] + [0j] * k_max
-    for n in range(1, max_part + 1):
-        a = complex(n) ** (-s)
-        # Multiply by 1/(1 - a z): new[t] = old[t] + a * new[t-1].
-        for t in range(1, k_max + 1):
-            out[t] = out[t] + a * out[t - 1]
-    return out

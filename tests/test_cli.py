@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pzeta import cli
+from pzeta.exact import partition_zeta_exact
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +67,22 @@ def test_exact_pinned_bytes_digest(capsys):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == "49c24f50d6ff82ca76543509fa7eb3629cfffb4cf043cc1f93dd573afd5e8ce8"
+
+
+def test_exact_past_the_int_digit_limit(capsys):
+    # The coefficient's denominator has 4,445 digits, past the 4,300 that
+    # str(int) and int(str) accept by default.
+    code, out = run_cli(capsys, "exact", "--m", "40", "--k", "22")
+    assert code == 0
+    doc = json.loads(out)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        coeff = Fraction(doc["coeff"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert coeff == partition_zeta_exact(40, 22).coeff
+    assert doc["pi_power"] == 80 * 22
 
 
 def test_macmahon_k2_pinned_bytes(capsys):
@@ -279,9 +296,10 @@ def test_python_dash_m_invocation():
 
 
 # --- numpy stays off the import path ---------------------------------------------------
-# Only direct_sum_truncated, truncation_error_estimate and euler_product_eval
-# import numpy, so only the oracle and euler-product subcommands load it.  Each
-# check runs in a fresh interpreter, where nothing else has imported numpy.
+# Only restricted_genfun_coeffs (which direct_sum_truncated calls),
+# truncation_error_estimate and euler_product_eval import numpy, so only the
+# oracle, euler-product and genfun subcommands load it.  Each check runs in a
+# fresh interpreter, where nothing else has imported numpy.
 
 def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -298,7 +316,6 @@ def test_import_does_not_load_numpy():
     ["poles", "--k", "3"],
     ["macmahon", "--k", "4"],
     ["faadibruno", "--order", "6"],
-    ["genfun", "--s", "2", "--max-part", "5", "--k-max", "3"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_does_not_load_numpy(argv):
     proc = run_python(
@@ -310,23 +327,25 @@ def test_subcommand_does_not_load_numpy(argv):
     json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv", [
-    ["oracle", "--s", "2", "--k", "2", "--max-part", "10"],
-    ["euler-product", "--form", "distinct", "--s", "2", "--max-factor", "100"],
-], ids=lambda argv: argv[0])
-def test_array_subcommands_still_run(argv):
+@pytest.mark.parametrize("argv, key", [
+    (["oracle", "--s", "2", "--k", "2", "--max-part", "10"], "value"),
+    (["euler-product", "--form", "distinct", "--s", "2", "--max-factor", "100"], "value"),
+    (["genfun", "--s", "2", "--max-part", "5", "--k-max", "3"], "coeffs"),
+], ids=["oracle", "euler-product", "genfun"])
+def test_array_subcommands_still_run(argv, key):
     proc = subprocess.run(
         [sys.executable, "-m", "pzeta", *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert "value" in json.loads(proc.stdout)
+    assert key in json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("argv", [
     ["oracle", "--s", "3", "--k", "2", "--max-part", "5"],
     ["euler-product", "--form", "even", "--s", "2", "--max-factor", "100"],
+    ["genfun", "--s", "3", "--max-part", "5", "--k-max", "2"],
 ], ids=lambda argv: argv[0])
 def test_array_subcommands_without_numpy_report_json_error(argv):
-    # With numpy unimportable, the two array subcommands end in the usual
+    # With numpy unimportable, the three array subcommands end in the usual
     # JSON error document and exit 1, not in a traceback.
     proc = run_python(
         "import sys\n"

@@ -129,6 +129,23 @@ def test_format_and_parse_rational_round_trip():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
 
 
+def test_format_rational_past_the_int_digit_limit():
+    # str(int) refuses past 4,300 digits by default; the numerator here has
+    # 6,001 and the denominator 5,101.  The runs of zeros give low halves
+    # that start with zeros, which a split must keep.
+    rng = random.Random(4300)
+    digits = [rng.randint(1, 9)]
+    for _ in range(6):
+        digits += [rng.randint(0, 9) for _ in range(rng.randint(1, 900))] + [0] * rng.randint(1, 300)
+    digits += [rng.randint(0, 9) for _ in range(6000 - len(digits))] + [7]
+    numerator = 0
+    for d in digits:
+        numerator = 10 * numerator + d
+    # The last digit 7 makes the numerator prime to 10, so q is in lowest terms.
+    q = Fraction(-numerator, 10**5100)
+    assert format_rational(q) == "-" + "".join(map(str, digits)) + "/1" + "0" * 5100
+
+
 def test_rational_exactness_randomized():
     rng = random.Random(8128)
     for _ in range(100):

@@ -1,5 +1,6 @@
 """Complex-plane evaluation: zeta, the fixed-length partition zeta family,
-truncated direct sums, pole probing, and restricted Euler products.
+the bounded-part generating function and the truncated direct sums read
+from it, pole probing, and restricted Euler products.
 
 Reference values marked "frozen" were computed with an independent
 high-precision engine (mpmath at 30 digits) and pasted in as literals.
@@ -36,10 +37,10 @@ from pzeta.numeric import (
     euler_product_eval,
     partition_zeta_family,
     pole_order_estimate,
+    restricted_genfun_coeffs,
     riemann_zeta,
     truncation_error_estimate,
 )
-from pzeta.qseries import restricted_genfun_coeffs
 
 # frozen: mpmath.zeta at 30 digits
 ZETA_3 = 1.2020569031595942854
@@ -410,6 +411,55 @@ def test_truncation_estimate_out_of_range_is_infinite():
     assert truncation_error_estimate(1 + 1e-12, 40, 1000) == math.inf
     with pytest.raises(PrecisionLoss):
         direct_sum_truncated(1 + 1e-12, 40, 1000)
+
+
+# --- restricted_genfun_coeffs --------------------------------------------------------
+
+def test_genfun_constant_term_is_one():
+    assert restricted_genfun_coeffs(2, 7, 4)[0] == 1
+
+
+def test_genfun_s2_m2_k2_is_21_16():
+    got = restricted_genfun_coeffs(2, 2, 2)
+    assert abs(got[2] - 21 / 16) < 1e-15
+
+
+def test_genfun_k1_is_partial_zeta_sum():
+    got = restricted_genfun_coeffs(3, 50, 1)
+    partial = sum(n ** (-3.0) for n in range(1, 51))
+    assert abs(got[1] - partial) < 1e-14
+
+
+def test_genfun_matches_literal_enumeration():
+    # Every coefficient of each call, so the z^t with t < k_max are checked
+    # against the enumeration too, not only against direct_sum_truncated,
+    # which reads the same recurrence.
+    for s in (2, 3, 2.5 + 1j):
+        for k in range(1, 5):
+            for max_part in (3, 7, 12):
+                got = restricted_genfun_coeffs(s, max_part, k)
+                want = [1] + [
+                    sum(math.prod(lam) ** (-complex(s))
+                        for lam in enumerate_partitions_fixed_length(t, max_part))
+                    for t in range(1, k + 1)
+                ]
+                assert len(got) == k + 1
+                for t in range(k + 1):
+                    assert abs(got[t] - want[t]) < 1e-12, (s, t, k, max_part)
+
+
+def test_genfun_requires_convergent_s():
+    with pytest.raises(DivergenceRegion):
+        restricted_genfun_coeffs(1, 10, 2)
+    with pytest.raises(DivergenceRegion):
+        restricted_genfun_coeffs(0.5 + 2j, 10, 2)
+
+
+def test_genfun_rejects_non_finite_s():
+    # NaN used to come back as coefficients, 2 + inf i as ZeroDivisionError.
+    for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1)):
+        with pytest.raises(DomainError):
+            restricted_genfun_coeffs(s, 10, 3)
 
 
 # --- pole_order_estimate --------------------------------------------------------------

@@ -1,6 +1,5 @@
 """The q-series identity verifiers and the exponential's recurrence, pinned
-against brute-force partition counting, permutation counting and the literal
-bounded enumeration."""
+against brute-force partition counting and permutation counting."""
 
 import itertools
 import math
@@ -11,16 +10,13 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import enumerate_partitions_fixed_length
 from pzeta import qseries
-from pzeta.errors import DivergenceRegion, DomainError
 from pzeta.partitions import complete_homogeneous
 from pzeta.qseries import (
     faa_di_bruno_check,
     macmahon_exact_identity,
     macmahon_lhs,
     macmahon_rhs,
-    restricted_genfun_coeffs,
 )
 
 
@@ -274,46 +270,3 @@ def test_length_conjugation_bijection():
             qseries._divide_one_minus_q_power(prod, j)
         for n in range(14):
             assert prod[n] == count_exact_parts(n + k, k), (k, n)
-
-
-# --- restricted_genfun_coeffs --------------------------------------------------------
-
-def test_genfun_constant_term_is_one():
-    assert restricted_genfun_coeffs(2, 7, 4)[0] == 1
-
-
-def test_genfun_s2_m2_k2_is_21_16():
-    got = restricted_genfun_coeffs(2, 2, 2)
-    assert abs(got[2] - 21 / 16) < 1e-15
-
-
-def test_genfun_k1_is_partial_zeta_sum():
-    got = restricted_genfun_coeffs(3, 50, 1)
-    partial = sum(n ** (-3.0) for n in range(1, 51))
-    assert abs(got[1] - partial) < 1e-14
-
-
-def test_genfun_matches_literal_enumeration():
-    for s in (2, 3, 2.5 + 1j):
-        for k in range(1, 5):
-            for max_part in (3, 7, 12):
-                got = restricted_genfun_coeffs(s, max_part, k)[k]
-                want = sum(
-                    math.prod(lam) ** (-complex(s))
-                    for lam in enumerate_partitions_fixed_length(k, max_part)
-                )
-                assert abs(got - want) < 1e-12, (s, k, max_part)
-
-
-def test_genfun_requires_convergent_s():
-    with pytest.raises(DivergenceRegion):
-        restricted_genfun_coeffs(1, 10, 2)
-    with pytest.raises(DivergenceRegion):
-        restricted_genfun_coeffs(0.5 + 2j, 10, 2)
-
-
-def test_genfun_rejects_non_finite_s():
-    # NaN used to come back as coefficients, 2 + inf i as ZeroDivisionError.
-    for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1)):
-        with pytest.raises(DomainError):
-            restricted_genfun_coeffs(s, 10, 3)
