@@ -208,8 +208,9 @@ def _cmd_euler_product(args) -> tuple[dict, int]:
     if args.form == "subset":
         if not args.subset:
             raise _UsageError("--form subset requires --subset with at least one part")
-        allowed = frozenset(args.subset)
-        form = numeric.ProductForm.subset_parts(lambda n: n in allowed)
+        import numpy as np
+
+        form = numeric.ProductForm.subset_parts(lambda n: np.isin(n, args.subset))
     else:
         if args.subset is not None:
             raise _UsageError("--subset only applies to --form subset")

@@ -44,5 +44,6 @@ class FitUnstable(DomainError):
 
 
 class InvalidForm(DomainError):
-    """Euler-product form rejected at construction (part 1 admitted)."""
+    """Euler-product subset form rejected: part 1 admitted, or a predicate
+    that does not map the int64 array of parts to a mask of its shape."""
 

@@ -13,13 +13,16 @@ a derived rounding bound (and, on the reflected branch, the Gamma
 factor's error); zeta results whose bound exceeds
 PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
 with the untrusted value attached when one was computed (a bound whose
-rounding share alone is too large refuses before summing).  Non-finite s
+rounding share alone is too large refuses before summing).  A direct
+sum refuses the same way, with its value attached, once the rounding
+share of its bound alone passes the threshold.  Non-finite s
 raises DomainError on every public entry, and so does an s for which
 s log n overflows in the routines that form n^-s up to a caller's cutoff.
 
 numpy is imported only inside restricted_genfun_coeffs,
-truncation_error_estimate and euler_product_eval, so importing the package
-and the zeta, F_k and pole-order paths never load it.
+truncation_error_estimate, euler_product_eval and ProductForm.subset_parts,
+so importing the package and the zeta, F_k and pole-order paths never load
+it.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ def _check_exponent(s: complex, n_max: int) -> None:
 def _trusted(result: EvalResult) -> EvalResult:
     # Zeta evaluations additionally refuse results whose error bound
     # exceeds the trust threshold.  Truncation-controlled operations
-    # (direct sums, Euler products) do not: their est_error is a tail bound
-    # the caller steers explicitly via the truncation parameter.
+    # (direct sums, Euler products) do not: their est_error is mostly a
+    # tail bound the caller steers explicitly via the truncation parameter
+    # (direct sums refuse only on their rounding share).
     _finite(result)
     if result.est_error > PRECISION_LOSS_THRESHOLD:
         raise PrecisionLoss(
@@ -370,11 +374,28 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     Requires Re(s) > 1.
 
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
-    on the distance to the full length-k sum.
+    on the distance to the full length-k sum, plus the rounding of the
+    phases Im(s) log n, formed in double as in zeta's rounding bound:
+    2 k u |Im s| log M (1 + Z1)^k, with 1 + Z1 = 1 + (1 - M^(1-sigma)) /
+    (sigma - 1) >= zeta_M(sigma).  A rounding share past
+    PRECISION_LOSS_THRESHOLD raises PrecisionLoss with the untrusted
+    result attached.
     """
     est = truncation_error_estimate(s, k, max_part)
+    s = complex(s)
     value = restricted_genfun_coeffs(s, max_part, k)[k]
-    return _finite(EvalResult(value, est, k * max_part))
+    log_m = math.log(max_part)
+    z1 = math.expm1((1 - s.real) * log_m) / (1 - s.real)
+    try:
+        rounding = 2 * k * _U * abs(s.imag) * log_m * (1 + z1) ** k if s.imag else 0.0
+    except OverflowError:
+        rounding = math.inf
+    result = EvalResult(value, est + rounding, k * max_part)
+    if rounding > PRECISION_LOSS_THRESHOLD:
+        raise PrecisionLoss(f"rounding of the phases Im(s) log n for n <= {max_part} at "
+                            f"s = {s} alone exceeds {PRECISION_LOSS_THRESHOLD:.0e}",
+                            partial=result)
+    return _finite(result)
 
 
 def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
@@ -435,19 +456,23 @@ class ProductForm:
     """Which part values a restricted Euler product runs over.
 
     kind "subset": factor 1/(1 - n^-s) for every n admitted by the
-    predicate, which is called with each int n and may return any truthy
-    value (1 must not be admitted, or the product diverges);
+    predicate.  It is called once per evaluation, with the int64 array
+    n = 1..max_factor, and returns a mask of the same shape whose truthy
+    (nonzero) entries admit their parts, e.g. ``lambda n: n % 2 == 0``;
+    1 must not be admitted, or the product diverges;
     kind "not_one": every n >= 2;
     kind "distinct": factor (1 + n^-s) for every n >= 1, the product over
     partitions with pairwise distinct parts.
     """
 
     kind: str
-    admits: Callable[[int], bool] | None = None
+    admits: Callable | None = None
 
     @classmethod
-    def subset_parts(cls, admits: Callable[[int], bool]) -> "ProductForm":
-        if admits(1):
+    def subset_parts(cls, admits: Callable) -> "ProductForm":
+        import numpy as np
+
+        if _subset_mask(admits, np.arange(1, 3, dtype=np.int64))[0]:
             raise InvalidForm("part 1 must not be admitted: its factor 1/(1-1^-s) diverges")
         return cls("subset", admits)
 
@@ -460,17 +485,33 @@ class ProductForm:
         return cls("distinct")
 
 
+def _subset_mask(admits: Callable, n):
+    # The predicate's mask over n, as booleans.  A predicate written for one
+    # int at a time raises TypeError or ValueError on n, or returns a scalar.
+    import numpy as np
+
+    try:
+        mask = np.asarray(admits(n)).astype(bool, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidForm(f"the subset predicate must map int64 parts to a mask: {exc}") from None
+    if mask.shape != n.shape:
+        raise InvalidForm(f"the subset predicate gave shape {mask.shape} for {n.shape} parts")
+    return mask
+
+
 def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalResult:
     """Evaluate a restricted Euler product over parts up to max_factor.
 
     One array pass over the admitted parts, built as float64 (for a subset
-    form, from the predicate called once per int): with sign = +1 for
-    distinct parts and -1 otherwise, the log of the product is
-    sign * sum log(1 + x), x = sign * n^-s.  Real s takes one np.log1p;
-    complex s takes log|1 + x| = log1p(re (2 + re) + im^2) / 2 and
+    form, from the mask of one predicate call on n = 1..max_factor): with
+    sign = +1 for distinct parts and -1 otherwise, the log of the product
+    is sign * sum log(1 + x), x = sign * n^-s.  Real s takes one np.log1p,
+    in place on the parts array; complex s takes
+    log|1 + x| = log1p(re (2 + re) + im^2) / 2 and
     arg(1 + x) = atan2(im, 1 + re), both accurate at every |x|.  The tail
     correction is the admitted density over the top W = max_factor -
-    max_factor // 2 parts times max_factor^(1-s)/(s-1).  Requires Re(s) > 1.
+    max_factor // 2 parts times max_factor^(1-s)/(s-1).  Requires Re(s) > 1;
+    a predicate whose result is not a mask of n's shape raises InvalidForm.
 
     est_error (heuristic for an arbitrary predicate) is |value| times the
     next-order tail terms, the density's uncertainty 1/W times the tail
@@ -486,7 +527,8 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
         raise ValueError("max_factor must be >= 1")
     _check_exponent(s, max_factor)
     if form.kind == "subset":
-        parts = np.fromiter(filter(form.admits, range(1, max_factor + 1)), dtype=np.float64)
+        n = np.arange(1, max_factor + 1, dtype=np.int64)
+        parts = n[_subset_mask(form.admits, n)].astype(np.float64)
     elif form.kind in ("distinct", "not_one"):
         parts = np.arange(1 if form.kind == "distinct" else 2, max_factor + 1, dtype=np.float64)
     else:
@@ -495,7 +537,8 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     density = (len(parts) - int(np.searchsorted(parts, max_factor // 2 + 1))) / window
     sign = 1.0 if form.kind == "distinct" else -1.0
     if s.imag == 0:
-        x = sign * parts ** -sigma
+        x = np.power(parts, -sigma, out=parts)
+        x *= sign
         log_sum = float(np.sum(np.log1p(x, out=x)))
     else:
         mod, phase = sign * parts ** -sigma, s.imag * np.log(parts)

@@ -4,12 +4,14 @@ Partitions are weakly decreasing tuples of positive integers, as the
 package enumerates them.  partition_from_multiplicities inverts
 collections.Counter on a partition, and enumerate_partitions_fixed_length
 lists the bounded fixed-length partitions that the truncated direct sum and
-the restricted generating function fold.
+the restricted generating function fold.  subset_euler_product multiplies
+out a restricted Euler product over parts listed as Python ints.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+import cmath
+from typing import Iterator, Mapping, Sequence
 
 
 def partition_from_multiplicities(entries: Mapping[int, int]) -> tuple[int, ...]:
@@ -49,3 +51,19 @@ def enumerate_partitions_fixed_length(k: int, max_part: int) -> Iterator[tuple[i
                 yield (first,) + rest
 
     yield from descend(k, max_part)
+
+
+def subset_euler_product(parts: Sequence[int], s: complex, max_factor: int) -> complex:
+    """prod over the listed parts n of 1/(1 - n^-s), one Python complex
+    factor at a time, times the first-order tail factor that
+    numeric.euler_product_eval applies: the listed parts' density over the
+    top W = max_factor - max_factor // 2 values times
+    max_factor^(1-s)/(s-1).  The parts must be distinct, in 2..max_factor.
+    """
+    s = complex(s)
+    product = 1 + 0j
+    for n in parts:
+        product /= 1 - n ** (-s)
+    window = max_factor - max_factor // 2
+    density = sum(1 for n in parts if n > max_factor // 2) / window
+    return product * cmath.exp(density * max_factor ** (1 - s) / (s - 1))

@@ -144,6 +144,13 @@ def test_oracle_payload(capsys):
     assert doc["terms_used"] == 4
 
 
+def test_oracle_refuses_rounding_noise(capsys):
+    # At Im s = 1e300 every phase Im(s) log n is rounding noise.
+    code, out = run_cli(capsys, "oracle", "--s=2+1e300i", "--k", "1", "--max-part", "1000")
+    assert code == 1
+    assert json.loads(out)["error"] == "PrecisionLoss"
+
+
 def test_poles_payload(capsys):
     code, out = run_cli(capsys, "poles", "--k", "4")
     doc = json.loads(out)
@@ -297,8 +304,9 @@ def test_python_dash_m_invocation():
 
 # --- numpy stays off the import path ---------------------------------------------------
 # Only restricted_genfun_coeffs (which direct_sum_truncated calls),
-# truncation_error_estimate and euler_product_eval import numpy, so only the
-# oracle, euler-product and genfun subcommands load it.  Each check runs in a
+# truncation_error_estimate, euler_product_eval and ProductForm.subset_parts
+# import numpy, so only the oracle, euler-product and genfun subcommands
+# load it.  Each check runs in a
 # fresh interpreter, where nothing else has imported numpy.
 
 def run_python(code):
@@ -342,8 +350,9 @@ def test_array_subcommands_still_run(argv, key):
 @pytest.mark.parametrize("argv", [
     ["oracle", "--s", "3", "--k", "2", "--max-part", "5"],
     ["euler-product", "--form", "even", "--s", "2", "--max-factor", "100"],
+    ["euler-product", "--form", "subset", "--subset", "2,3", "--s", "2"],
     ["genfun", "--s", "3", "--max-part", "5", "--k-max", "2"],
-], ids=lambda argv: argv[0])
+], ids=["oracle", "euler-product", "euler-product-subset", "genfun"])
 def test_array_subcommands_without_numpy_report_json_error(argv):
     # With numpy unimportable, the three array subcommands end in the usual
     # JSON error document and exit 1, not in a traceback.

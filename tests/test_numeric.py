@@ -11,9 +11,10 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from oracles import enumerate_partitions_fixed_length
+from oracles import enumerate_partitions_fixed_length, subset_euler_product
 from pzeta.errors import (
     DivergenceRegion,
     DomainError,
@@ -407,6 +408,38 @@ def test_truncation_estimate_bounds_true_tail():
                 assert abs(got.value - want) <= got.est_error, (s, k, max_part)
 
 
+@pytest.mark.parametrize("s, k", [(4 + 1e5j, 2), (2 + 1e12j, 1), (4 + 1e12j, 1), (4 + 1e12j, 2)])
+def test_direct_sum_rounding_share_covers_the_phases(s, k):
+    # Each n^-s is formed with its phase Im(s) log n in double.  At
+    # |Im s| = 1e12 that errs by about 1e-4 rad, far past the tail bound at
+    # Re s = 4 (3e-10), so the rounding share refuses the result; at 1e5 it
+    # stays below the threshold.  Either way est_error less the tail bound
+    # must cover the distance to the exact truncated sum (mpmath at 40
+    # digits; the z^2 coefficient is (p_1^2 + p_2) / 2, p_j = sum n^-js).
+    mpmath = pytest.importorskip("mpmath")
+    max_part = 1000
+    if s.imag > 1e6:
+        with pytest.raises(PrecisionLoss) as info:
+            direct_sum_truncated(s, k, max_part)
+        got = info.value.partial
+    else:
+        got = direct_sum_truncated(s, k, max_part)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s.real, s.imag)
+        p1, p2 = (mpmath.fsum(mpmath.power(n, -j * z) for n in range(1, max_part + 1))
+                  for j in (1, 2))
+        want = complex(p1 if k == 1 else (p1 * p1 + p2) / 2)
+    assert abs(got.value - want) <= got.est_error - truncation_error_estimate(s, k, max_part)
+
+
+def test_direct_sum_refuses_rounding_noise():
+    # At Im s = 1e300 the phases are noise: the value is 0.75 from the
+    # truncated sum while the tail bound is 1e-3.
+    with pytest.raises(PrecisionLoss) as info:
+        direct_sum_truncated(2 + 1e300j, 1, 1000)
+    assert info.value.partial.est_error > 1e200
+
+
 def test_truncation_estimate_out_of_range_is_infinite():
     assert truncation_error_estimate(1 + 1e-12, 40, 1000) == math.inf
     with pytest.raises(PrecisionLoss):
@@ -504,7 +537,7 @@ def test_product_even_parts_s2():
 
 def test_product_finite_subset_is_exact():
     # Only parts 2 and 3 admitted at s=2: (1/(1-1/4))(1/(1-1/9)) = 3/2.
-    form = ProductForm.subset_parts(lambda n: n in (2, 3))
+    form = ProductForm.subset_parts(lambda n: np.isin(n, (2, 3)))
     got = euler_product_eval(form, 2, 1000)
     assert abs(got.value - 1.5) < 1e-12
 
@@ -587,23 +620,73 @@ def test_product_counts_admitted_factors():
     assert euler_product_eval(form, 2, 1000).terms_used == 333
 
 
-def test_subset_predicate_receives_plain_ints():
-    # A predicate that admits only Python ints would admit nothing if it
-    # were handed numpy scalars.
-    strict = euler_product_eval(
-        ProductForm.subset_parts(lambda n: type(n) is int and n % 2 == 0), 2, 1000)
-    plain = euler_product_eval(ProductForm.subset_parts(lambda n: n % 2 == 0), 2, 1000)
-    assert strict.terms_used == 500
-    assert strict == plain
+def test_subset_predicate_is_called_once_on_an_int64_array():
+    calls = []
+
+    def admits(n):
+        calls.append(n)
+        return n % 2 == 0
+
+    form = ProductForm.subset_parts(admits)
+    assert len(calls) == 1  # the construction probe on parts 1 and 2
+    for max_factor in (1, 1000, 10**5):
+        before = len(calls)
+        got = euler_product_eval(form, 2, max_factor)
+        assert len(calls) == before + 1
+        n = calls[-1]
+        assert isinstance(n, np.ndarray) and n.dtype == np.int64
+        assert np.array_equal(n, np.arange(1, max_factor + 1))
+        assert got.terms_used == max_factor // 2
 
 
-def test_subset_predicate_truthy_returns_are_honoured():
+def test_subset_predicate_numeric_masks_are_honoured():
     want = euler_product_eval(ProductForm.subset_parts(lambda n: n % 3 == 0), 2, 1000)
-    for admits in (lambda n: n if n % 3 == 0 else 0,
-                   lambda n: "yes" if n % 3 == 0 else "",
-                   lambda n: [n] if n % 3 == 0 else None):
+    for admits in (lambda n: np.where(n % 3 == 0, n, 0),
+                   lambda n: (n % 3 == 0).astype(np.float64)):
         got = euler_product_eval(ProductForm.subset_parts(admits), 2, 1000)
         assert got == want
+
+
+@pytest.mark.parametrize("admits", [
+    lambda n: n in (2, 3),                     # ValueError: ambiguous truth value
+    lambda n: n in frozenset({2, 3}),          # TypeError: unhashable array
+    lambda n: type(n) is int and n % 2 == 0,   # a scalar, not a mask
+    lambda n: n[1:] % 2 == 0,                  # a mask of the wrong shape
+], ids=["tuple", "frozenset", "scalar", "short_mask"])
+def test_scalar_only_subset_predicate_is_an_invalid_form(admits):
+    with pytest.raises(InvalidForm):
+        ProductForm.subset_parts(admits)
+
+
+def test_subset_mask_shape_is_checked_on_the_full_array():
+    # Right shape on the construction probe, wrong on the evaluation.
+    form = ProductForm.subset_parts(lambda n: (n % 2 == 0)[:2])
+    with pytest.raises(InvalidForm):
+        euler_product_eval(form, 2, 1000)
+
+
+def test_subset_mask_matches_explicitly_listed_parts():
+    # The mask path against factors over Python-int parts listed one by
+    # one.  The two sides round each factor and the sum differently, each
+    # by a few u per factor, so the tolerance is 8 u per admitted part.
+    rng = random.Random(1207)
+    for trial in range(60):
+        max_factor = rng.choice([1, 2, 3, rng.randint(4, 3000)])
+        if trial % 2:
+            modulus = rng.randint(2, 12)
+            residues = rng.sample([r for r in range(modulus) if r != 1],
+                                  rng.randint(1, modulus - 1))
+            admits = lambda n, m=modulus, r=residues: np.isin(n % m, r)
+            parts = [n for n in range(2, max_factor + 1) if n % modulus in residues]
+        else:
+            allowed = rng.sample(range(2, 80), rng.randint(1, 10))
+            admits = lambda n, a=allowed: np.isin(n, a)
+            parts = sorted(n for n in allowed if n <= max_factor)
+        s = complex(rng.uniform(1.2, 4.0), rng.choice([0.0, rng.uniform(-30, 30)]))
+        got = euler_product_eval(ProductForm.subset_parts(admits), s, max_factor)
+        want = subset_euler_product(parts, s, max_factor)
+        assert got.terms_used == len(parts), (trial, max_factor)
+        assert abs(got.value - want) <= 8 * 2**-53 * max(1, len(parts)) * abs(want), (trial, s)
 
 
 # --- EvalResult serialization ----------------------------------------------------
