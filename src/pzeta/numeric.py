@@ -14,12 +14,14 @@ factor's error); zeta results whose bound exceeds
 PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
 with the untrusted value attached when one was computed (a bound whose
 rounding share alone is too large refuses before summing).  A direct
-sum refuses the same way, with its value attached, once the rounding
-share of its bound alone passes the threshold.  Non-finite s
+sum refuses the same way, with its value attached, once the phase share
+of its rounding bound alone passes the threshold; the generating-function
+coefficients refuse on that share before summing.  Non-finite s
 raises DomainError on every public entry, and so does an s for which
 s log n overflows in the routines that form n^-s up to a caller's cutoff.
 
-numpy is imported only inside restricted_genfun_coeffs,
+numpy is imported only inside _bounded_part_sums (the kernel of
+restricted_genfun_coeffs and direct_sum_truncated),
 truncation_error_estimate, euler_product_eval and ProductForm.subset_parts,
 so importing the package and the zeta, F_k and pole-order paths never load
 it.
@@ -338,27 +340,10 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     return _finite(EvalResult(value, D[k], terms))
 
 
-def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[complex]:
-    """Coefficients of z^0..z^k_max in prod_{n<=max_part} 1/(1 - z n^(-s)).
-
-    The z^k coefficient is f_k(max_part), the sum of N(lambda)^(-s) over the
-    partitions with exactly k parts, all <= max_part.  The recurrence
-    f_t(n) = f_t(n-1) + n^-s f_(t-1)(n) is one cumulative sum per t, so the
-    cost is k_max * max_part operations; no zeta or partition-sum formula
-    enters, so it stays an independent oracle, pinned against explicit
-    enumeration in the tests.  Requires Re(s) > 1; non-finite s, or
-    s log max_part past the double range, raises DomainError.
-    """
+def _bounded_part_sums(s: complex, max_part: int, k_max: int) -> list[complex]:
+    # f_t(n) = f_t(n-1) + n^-s f_(t-1)(n): one cumulative sum per t.
     import numpy as np
 
-    s = _finite_arg(s)
-    if s.real <= 1:
-        raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
-    if max_part < 1:
-        raise ValueError("max_part must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    _check_exponent(s, max_part)
     w = np.arange(1, max_part + 1, dtype=np.float64) ** (-s)
     f = np.ones(max_part, dtype=np.complex128)
     out = [1 + 0j]
@@ -368,6 +353,61 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     return out
 
 
+def _kernel_rounding(s: complex, k: int, max_part: int) -> tuple[float, float]:
+    """Rounding bound of _bounded_part_sums's z^k coefficient, as (the share
+    of the phases Im(s) log n, the whole bound)."""
+    # Passes on |n^-s| = n^-sigma bound every exact |f_t(n)| by
+    # h_t(1, ..., M^-sigma) <= zeta_M(sigma)^t <= (1 + Z1)^t, with
+    # Z1 = int_1^M x^-sigma dx = (1 - M^(1-sigma)) / (sigma - 1).  In units
+    # of u, per pass and relative to that bound: n^-s = exp(-s log n) errs
+    # by 2 |t| log n in its phase, as in zeta's rounding bound, and by
+    # 2 sigma log n in its modulus, which weighted by n^-sigma averages under
+    # log M (under 2.3 from sigma = 2 on; checked numerically for
+    # M <= 10^7); log, exp, cos/sin and the product w f add under 20; the
+    # sequential cumsum adds u |partial sum| per step (componentwise, so in
+    # modulus too), under M in all.  The k passes add up: phase share
+    # 2 k u |t| log M (1 + Z1)^k, whole bound
+    # k u ((2 |t| + 1) log M + M + 20) (1 + Z1)^k.
+    log_m = math.log(max_part)
+    z1 = math.expm1((1 - s.real) * log_m) / (1 - s.real)
+    try:
+        growth = k * _U * (1 + z1) ** k
+    except OverflowError:
+        growth = math.inf
+    phase = 2 * abs(s.imag) * log_m * growth if s.imag else 0.0
+    return phase, phase + (log_m + max_part + 20) * growth
+
+
+def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[complex]:
+    """Coefficients of z^0..z^k_max in prod_{n<=max_part} 1/(1 - z n^(-s)).
+
+    The z^k coefficient is f_k(max_part), the sum of N(lambda)^(-s) over the
+    partitions with exactly k parts, all <= max_part.  The recurrence
+    f_t(n) = f_t(n-1) + n^-s f_(t-1)(n) is one cumulative sum per t, so the
+    cost is k_max * max_part operations; no zeta or partition-sum formula
+    enters, so it stays an independent oracle, pinned against explicit
+    enumeration in the tests.  Requires Re(s) > 1; non-finite s, or
+    s log max_part past the double range, raises DomainError.  Where the
+    rounding of the phases Im(s) log n alone could move the z^k_max
+    coefficient by more than PRECISION_LOSS_THRESHOLD (the share
+    direct_sum_truncated adds to its est_error), raises PrecisionLoss
+    before summing.
+    """
+    s = _finite_arg(s)
+    if s.real <= 1:
+        raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
+    if max_part < 1:
+        raise ValueError("max_part must be >= 1")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    _check_exponent(s, max_part)
+    phase, _ = _kernel_rounding(s, k_max, max_part)
+    if phase > PRECISION_LOSS_THRESHOLD:
+        raise PrecisionLoss(f"rounding of the phases Im(s) log n for n <= {max_part} at "
+                            f"s = {s} alone exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
+    return _bounded_part_sums(s, max_part, k_max)
+
+
 def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     """Direct sum of N(lambda)^(-s) over the partitions with exactly k parts,
     all parts <= max_part: the z^k coefficient of restricted_genfun_coeffs.
@@ -375,23 +415,19 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
 
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
     on the distance to the full length-k sum, plus the rounding of the
-    phases Im(s) log n, formed in double as in zeta's rounding bound:
-    2 k u |Im s| log M (1 + Z1)^k, with 1 + Z1 = 1 + (1 - M^(1-sigma)) /
-    (sigma - 1) >= zeta_M(sigma).  A rounding share past
-    PRECISION_LOSS_THRESHOLD raises PrecisionLoss with the untrusted
+    kernel, k u ((2 |Im s| + 1) log M + M + 20) (1 + Z1)^k with
+    1 + Z1 = 1 + (1 - M^(1-sigma)) / (sigma - 1) >= zeta_M(sigma).  Its
+    share 2 k u |Im s| log M (1 + Z1)^k comes from the phases Im(s) log n,
+    formed in double as in zeta's rounding bound; when that share passes
+    PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised with the untrusted
     result attached.
     """
     est = truncation_error_estimate(s, k, max_part)
     s = complex(s)
-    value = restricted_genfun_coeffs(s, max_part, k)[k]
-    log_m = math.log(max_part)
-    z1 = math.expm1((1 - s.real) * log_m) / (1 - s.real)
-    try:
-        rounding = 2 * k * _U * abs(s.imag) * log_m * (1 + z1) ** k if s.imag else 0.0
-    except OverflowError:
-        rounding = math.inf
+    phase, rounding = _kernel_rounding(s, k, max_part)
+    value = _bounded_part_sums(s, max_part, k)[k]
     result = EvalResult(value, est + rounding, k * max_part)
-    if rounding > PRECISION_LOSS_THRESHOLD:
+    if phase > PRECISION_LOSS_THRESHOLD:
         raise PrecisionLoss(f"rounding of the phases Im(s) log n for n <= {max_part} at "
                             f"s = {s} alone exceeds {PRECISION_LOSS_THRESHOLD:.0e}",
                             partial=result)

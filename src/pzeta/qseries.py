@@ -19,7 +19,9 @@ sides by k! leaves only integer polynomials.  Every step multiplies a
 polynomial by (1 - q^j) or divides a truncated series by it, each in
 O(length) integer additions.  The two sides come back as TruncatedSeries,
 a read-only record of coefficients compared with ==.  The Faa di Bruno
-check runs the exponential's recurrence on Fraction coefficients.
+check runs the exponential's recurrence on Fraction coefficients against
+the partition sums, taken in one depth-first pass over the partitions of
+size <= order on ints scaled by order! den^order.
 """
 
 from __future__ import annotations
@@ -147,13 +149,48 @@ def macmahon_exact_identity(k: int) -> bool:
     return acc[: len(rhs)] == rhs and not any(acc[len(rhs):])
 
 
+def _exp_partition_sums(a: Sequence[Fraction], order: int) -> list[Fraction]:
+    """[x^0..x^order] of exp(sum_j a_j x^j), a = a_1..a_order, as partition
+    sums: the x^k coefficient is the sum over lambda of k of
+    prod_j a_j^{m_j} / m_j!.  One depth-first pass on plain ints visits
+    every partition of size <= order once and adds one term for it; one
+    Fraction is reduced per coefficient at the end."""
+    # The scale.  With den the lcm of the denominators and num_j = a_j den,
+    # a partition lambda of length l carries
+    #     V(lambda) = order! den^(order - l) prod_j num_j^{m_j} / prod_j m_j!,
+    # an integer: l <= |lambda| <= order, and prod_j m_j! divides l! (the
+    # quotient is a multinomial coefficient), which divides order!.  So the
+    # V over the partitions of k sum to order! den^order times the x^k
+    # coefficient.
+    #
+    # The pass.  Parts are appended in weakly decreasing order, so each
+    # partition is reached once.  Appending part j to reach multiplicity m
+    # gives V(child) = V num_j / (den m), and the floor division below is
+    # exact because V(child) is again an integer.
+    den = math.lcm(*(c.denominator for c in a))
+    num = [c.numerator * (den // c.denominator) for c in a]
+    scale = math.factorial(order) * den**order
+    sums = [0] * (order + 1)
+    # (size, last part, its multiplicity, V); the root's last part is order
+    # with multiplicity 0, so its children all start at multiplicity 1.
+    stack = [(0, order, 0, scale)]
+    while stack:
+        size, last, mult, v = stack.pop()
+        sums[size] += v
+        for j in range(1, min(last, order - size) + 1):
+            m = mult + 1 if j == last else 1
+            stack.append((size + j, j, m, v * num[j - 1] // (den * m)))
+    return [Fraction(t, scale) for t in sums]
+
+
 def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
     """Verify the exponential partition identity through the given order.
 
     ``coeffs`` supplies a_1..a_order exactly (shorter sequences are padded
-    with zeros).  Expands exp(sum_j a_j x^j) with exact arithmetic and
-    compares every x^k coefficient, k <= order, against the partition sum
-    sum over lambda of k of prod_j a_j^{m_j} / m_j!.
+    with zeros).  Expands exp(sum_j a_j x^j) by its recurrence on Fraction
+    coefficients and compares every x^k coefficient, k <= order, against
+    the partition sum over lambda of k of prod_j a_j^{m_j} / m_j!, summed
+    one integer term per partition (_exp_partition_sums).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -164,13 +201,4 @@ def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
     # exp's derivative recurrence n b_n = sum_i i a_i b_{n-i} is Newton's
     # with power sums i a_i.
     lhs = complete_homogeneous([j * a[j - 1] for j in range(1, order + 1)], Fraction(1))
-    for k in range(order + 1):
-        acc = Fraction(0)
-        for lam in enumerate_partitions_of_size(k):
-            term = Fraction(1)
-            for j, mj in Counter(lam).items():
-                term *= a[j - 1] ** mj / math.factorial(mj)
-            acc += term
-        if lhs[k] != acc:
-            return False
-    return True
+    return lhs == _exp_partition_sums(a, order)

@@ -5,13 +5,20 @@ package enumerates them.  partition_from_multiplicities inverts
 collections.Counter on a partition, and enumerate_partitions_fixed_length
 lists the bounded fixed-length partitions that the truncated direct sum and
 the restricted generating function fold.  subset_euler_product multiplies
-out a restricted Euler product over parts listed as Python ints.
+out a restricted Euler product over parts listed as Python ints, and
+exp_partition_sums_fraction sums the exponential's partition side one
+reduced Fraction product per partition.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from collections import Counter
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
+
+from pzeta.partitions import enumerate_partitions_of_size
 
 
 def partition_from_multiplicities(entries: Mapping[int, int]) -> tuple[int, ...]:
@@ -67,3 +74,20 @@ def subset_euler_product(parts: Sequence[int], s: complex, max_factor: int) -> c
     window = max_factor - max_factor // 2
     density = sum(1 for n in parts if n > max_factor // 2) / window
     return product * cmath.exp(density * max_factor ** (1 - s) / (s - 1))
+
+
+def exp_partition_sums_fraction(a: Sequence, order: int) -> list[Fraction]:
+    """[x^0..x^order] of exp(sum_j a_j x^j), a = a_1..a_order, each x^k
+    coefficient summed literally over the partitions lambda of k as
+    prod_j a_j^{m_j} / m_j! in reduced Fractions."""
+    a = [Fraction(c) for c in a]
+    sums = []
+    for k in range(order + 1):
+        acc = Fraction(0)
+        for lam in enumerate_partitions_of_size(k):
+            term = Fraction(1)
+            for j, mj in Counter(lam).items():
+                term *= a[j - 1] ** mj / math.factorial(mj)
+            acc += term
+        sums.append(acc)
+    return sums

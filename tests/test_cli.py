@@ -151,6 +151,12 @@ def test_oracle_refuses_rounding_noise(capsys):
     assert json.loads(out)["error"] == "PrecisionLoss"
 
 
+def test_genfun_refuses_rounding_noise(capsys):
+    code, out = run_cli(capsys, "genfun", "--s=2+1e300i", "--max-part", "1000", "--k-max", "1")
+    assert code == 1
+    assert json.loads(out)["error"] == "PrecisionLoss"
+
+
 def test_poles_payload(capsys):
     code, out = run_cli(capsys, "poles", "--k", "4")
     doc = json.loads(out)
@@ -303,7 +309,7 @@ def test_python_dash_m_invocation():
 
 
 # --- numpy stays off the import path ---------------------------------------------------
-# Only restricted_genfun_coeffs (which direct_sum_truncated calls),
+# Only the bounded-part kernel (restricted_genfun_coeffs, direct_sum_truncated),
 # truncation_error_estimate, euler_product_eval and ProductForm.subset_parts
 # import numpy, so only the oracle, euler-product and genfun subcommands
 # load it.  Each check runs in a

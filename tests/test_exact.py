@@ -233,6 +233,21 @@ def test_closed_form_identity_small_k():
         assert lhs == rhs, k
 
 
+@pytest.mark.parametrize("k", [120, 200])
+def test_family_at_4_from_the_family_at_2_at_large_k(k):
+    # prod_n 1/(1 - z^2 n^-4) = G(z) G(-z) with G(z) = prod_n 1/(1 - z n^-2)
+    # = sum_a F_a(2) z^a, so F_k(4) = sum_(a+b=2k) (-1)^b F_a(2) F_b(2).
+    # F_a(2) comes from the closed form c_a zeta(2a), F_0 = 1, so this O(k)
+    # sum never runs the recurrence it checks.
+    f2 = [Fraction(1)]
+    for a in range(1, 2 * k + 1):
+        z = zeta_even_exact(2 * a)
+        assert z.exponent == 2 * a
+        f2.append(zeta2_family_coefficient(a) * z.coeff)
+    want = sum((-1) ** b * f2[2 * k - b] * f2[b] for b in range(2 * k + 1))
+    assert partition_zeta_exact(2, k) == PiPower(want, 4 * k)
+
+
 def test_even_argument_structure_small():
     for m in (1, 2):
         for k in range(0, 5):

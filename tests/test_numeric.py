@@ -396,7 +396,23 @@ def test_truncation_estimate_matches_reported_and_shrinks():
     est_small = truncation_error_estimate(2, 3, 100)
     est_big = truncation_error_estimate(2, 3, 10000)
     assert est_big < est_small
-    assert direct_sum_truncated(2, 3, 100).est_error == est_small
+    # Reported: the tail bound plus the kernel's rounding share
+    # k u (log M + M + 20) (1 + Z1)^k at real s, Z1 = 1 - 1/M at sigma = 2.
+    rounding = 3 * 2.0**-53 * (math.log(100) + 100 + 20) * (1 + 0.99) ** 3
+    assert math.isclose(direct_sum_truncated(2, 3, 100).est_error, est_small + rounding,
+                        rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("s, k, max_part", [(6, 1, 2000), (8, 1, 1000)])
+def test_direct_sum_est_error_covers_rounding_at_large_real_part(s, k, max_part):
+    # The tail bound alone (6.3e-18 and 1.4e-22) sits below the rounding of
+    # the M sequential additions, 8.1e-15 and 1.3e-15 off zeta_M(s).
+    mpmath = pytest.importorskip("mpmath")
+    got = direct_sum_truncated(s, k, max_part)
+    with mpmath.workdps(30):
+        want = mpmath.fsum(mpmath.power(n, -s) for n in range(1, max_part + 1))
+    assert abs(got.value - complex(want)) <= got.est_error
+    assert truncation_error_estimate(s, k, max_part) < abs(got.value - complex(want))
 
 
 def test_truncation_estimate_bounds_true_tail():
@@ -486,6 +502,17 @@ def test_genfun_requires_convergent_s():
         restricted_genfun_coeffs(1, 10, 2)
     with pytest.raises(DivergenceRegion):
         restricted_genfun_coeffs(0.5 + 2j, 10, 2)
+
+
+def test_genfun_refuses_rounding_noise():
+    # At Im s = 1e300 the phases Im(s) log n are noise, so the z^1
+    # coefficient comes out 0.75 off; the share that direct_sum_truncated
+    # adds to its est_error refuses it here.
+    with pytest.raises(PrecisionLoss):
+        restricted_genfun_coeffs(2 + 1e300j, 1000, 1)
+    # k_max = 0 reads no phase, and Im s = 1e5 stays under the threshold.
+    assert restricted_genfun_coeffs(2 + 1e300j, 1000, 0) == [1]
+    assert len(restricted_genfun_coeffs(4 + 1e5j, 1000, 2)) == 3
 
 
 def test_genfun_rejects_non_finite_s():

@@ -4,12 +4,12 @@ against brute-force partition counting and permutation counting."""
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from oracles import exp_partition_sums_fraction
 from pzeta import qseries
 from pzeta.partitions import complete_homogeneous
 from pzeta.qseries import (
@@ -139,27 +139,60 @@ def test_faa_di_bruno_routes_are_independent():
     # Feeding one route perturbed inputs while the other keeps the original
     # vector must break the coefficientwise match, confirming the comparison
     # has teeth and the two routes do not share state.
-    import math as _m
-
-    from pzeta.partitions import enumerate_partitions_of_size
-
     order = 6
     original = [Fraction(1, j) for j in range(1, 7)]
     perturbed = list(original)
     perturbed[3] += Fraction(1, 99)
-    lhs = exp_coeffs(perturbed)
-    mismatch = False
-    for k in range(order + 1):
-        acc = Fraction(0)
-        for lam in enumerate_partitions_of_size(k):
-            term = Fraction(1)
-            for j, mj in Counter(lam).items():
-                term *= original[j - 1] ** mj / _m.factorial(mj)
-            acc += term
-        if lhs[k] != acc:
-            mismatch = True
-    assert mismatch
+    assert exp_coeffs(perturbed) != exp_partition_sums_fraction(original, order)
     assert faa_di_bruno_check(original, order)
+
+
+def _random_coeff(rng: random.Random):
+    # Zeros, negative values, ints, strings and Fractions with denominators
+    # past 2^64, in one mix.
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return f"{rng.randint(-99, 99)}/{rng.randint(1, 99)}"
+    if kind == 3:
+        return Fraction(rng.randint(-(2**70), 2**70), rng.randint(2**64, 2**72))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def test_integer_partition_pass_matches_fraction_partition_sums():
+    rng = random.Random(1301)
+    for order in [0, 1] + list(range(2, 15)):
+        for _ in range(8 if order < 10 else 3):
+            raw = [_random_coeff(rng) for _ in range(order)]
+            a = [Fraction(c) for c in raw]
+            got = qseries._exp_partition_sums(a, order)
+            assert got == exp_partition_sums_fraction(raw, order), (order, raw)
+            assert faa_di_bruno_check(raw, order), (order, raw)
+    # All zeros leave only the constant term; a single nonzero a_j = c
+    # gives c^m / m! at x^(j m).
+    assert qseries._exp_partition_sums([Fraction(0)] * 5, 5) == [1, 0, 0, 0, 0, 0]
+    got = qseries._exp_partition_sums([Fraction(0), Fraction(-3, 2**65)] + [Fraction(0)] * 4, 6)
+    c = Fraction(-3, 2**65)
+    assert got == [1, 0, c, 0, c**2 / 2, 0, c**3 / 6]
+
+
+def test_faa_di_bruno_fails_when_any_one_coefficient_is_off(monkeypatch):
+    # Perturbing the recurrence's x^k coefficient alone, for each k <= order,
+    # must fail the check: the partition side never reads the recurrence.
+    order = 9
+    coeffs = [Fraction((-1) ** j * j, j + 2) for j in range(1, order + 1)]
+    assert faa_di_bruno_check(coeffs, order)
+    for k in range(order + 1):
+        def off_at_k(power_sums, one, k=k):
+            h = complete_homogeneous(power_sums, one)
+            h[k] += Fraction(1, 10**30)
+            return h
+
+        monkeypatch.setattr(qseries, "complete_homogeneous", off_at_k)
+        assert not faa_di_bruno_check(coeffs, order), k
 
 
 def test_faa_di_bruno_rejects_too_many_coeffs():
