@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "series"), default="exact")
-    p.add_argument("--order", type=int, default=None, help="series order (default 2k+10)")
+    p.add_argument("--order", type=int, default=None,
+                   help="series order, --mode series only (default 2k+10)")
 
     p = sub.add_parser(
         "faadibruno",
@@ -182,6 +183,8 @@ def _cmd_macmahon(args) -> tuple[dict, int]:
     if args.k < 1:
         raise _UsageError("--k must be >= 1")
     if args.mode == "exact":
+        if args.order is not None:
+            raise _UsageError("--order only applies to --mode series")
         ok = qseries.macmahon_exact_identity(args.k)
         payload = {"identity": "macmahon", "k": args.k, "verified": ok}
     else:
@@ -293,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         _emit({"error": "ValueError", "detail": str(exc)}, fmt)
+        return 1
+    except MemoryError as exc:
+        # numpy refuses an array past memory, e.g. --max-part 10^14.
+        _emit({"error": "MemoryError", "detail": str(exc)}, fmt)
         return 1
     _emit(payload, fmt)
     return code

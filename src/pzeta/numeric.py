@@ -93,6 +93,19 @@ def _check_exponent(s: complex, n_max: int) -> None:
         raise DomainError(f"s log n overflows for n <= {n_max}, s = {s}")
 
 
+def _convergent_arg(s: complex, n_max: int, sizes_ok: bool, sizes: str) -> complex:
+    # The checks of the sums and products over n <= n_max that need
+    # Re(s) > 1, in order: s finite, Re(s) > 1, the sizes valid (else a
+    # ValueError saying ``sizes``), s log n_max in the double range.
+    s = _finite_arg(s)
+    if s.real <= 1:
+        raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
+    if not sizes_ok:
+        raise ValueError(sizes)
+    _check_exponent(s, n_max)
+    return s
+
+
 def _trusted(result: EvalResult) -> EvalResult:
     # Zeta evaluations additionally refuse results whose error bound
     # exceeds the trust threshold.  Truncation-controlled operations
@@ -393,14 +406,8 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     direct_sum_truncated adds to its est_error), raises PrecisionLoss
     before summing.
     """
-    s = _finite_arg(s)
-    if s.real <= 1:
-        raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
-    if max_part < 1:
-        raise ValueError("max_part must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    _check_exponent(s, max_part)
+    s = _convergent_arg(s, max_part, max_part >= 1 and k_max >= 0,
+                        "max_part must be >= 1 and k_max >= 0")
     phase, _ = _kernel_rounding(s, k_max, max_part)
     if phase > PRECISION_LOSS_THRESHOLD:
         raise PrecisionLoss(f"rounding of the phases Im(s) log n for n <= {max_part} at "
@@ -443,13 +450,8 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
     DomainError where s log M overflows."""
     import numpy as np
 
-    s = _finite_arg(s)
+    s = _convergent_arg(s, max_part, k >= 1 and max_part >= 1, "k and max_part must be >= 1")
     sigma = s.real
-    if sigma <= 1:
-        raise DivergenceRegion(f"direct sum requires Re(s) > 1, got {sigma}")
-    if k < 1 or max_part < 1:
-        raise ValueError("k and max_part must be >= 1")
-    _check_exponent(s, max_part)
     n = np.arange(1, max_part + 1, dtype=np.float64)
     tail = max_part ** (1 - sigma) / (sigma - 1)
     try:
@@ -555,13 +557,8 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     """
     import numpy as np
 
-    s = _finite_arg(s)
+    s = _convergent_arg(s, max_factor, max_factor >= 1, "max_factor must be >= 1")
     sigma = s.real
-    if sigma <= 1:
-        raise DivergenceRegion(f"the product requires Re(s) > 1, got {sigma}")
-    if max_factor < 1:
-        raise ValueError("max_factor must be >= 1")
-    _check_exponent(s, max_factor)
     if form.kind == "subset":
         n = np.arange(1, max_factor + 1, dtype=np.int64)
         parts = n[_subset_mask(form.admits, n)].astype(np.float64)

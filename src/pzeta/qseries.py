@@ -14,14 +14,14 @@ and the exponential partition identity
 
 The decomposition is checked on plain int coefficient lists.  With
 z_lambda = N(lambda) m_1!...m_k!, the weight k!/z_lambda counts the
-permutations of cycle type lambda, so it is an integer, and scaling both
-sides by k! leaves only integer polynomials.  Every step multiplies a
-polynomial by (1 - q^j) or divides a truncated series by it, each in
-O(length) integer additions.  The two sides come back as TruncatedSeries,
-a read-only record of coefficients compared with ==.  The Faa di Bruno
-check runs the exponential's recurrence on Fraction coefficients against
-the partition sums, taken in one depth-first pass over the partitions of
-size <= order on ints scaled by order! den^order.
+permutations of cycle type lambda, so it is an integer, and the partition
+side is summed in integers scaled by k!.  Every step divides a truncated
+series by (1 - q^j) in O(length) integer additions.  The two sides come
+back as TruncatedSeries, a read-only record of coefficients compared with
+==; the exact identity is that comparison at an order proven to decide it.
+The Faa di Bruno check runs the exponential's recurrence on Fraction
+coefficients against the partition sums, taken in one depth-first pass
+over the partitions of size <= order on ints scaled by order! den^order.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ class TruncatedSeries:
     """Exact coefficients of q^0..q^(len(coeffs) - 1) of a power series."""
 
     coeffs: list
-
-
-def _times_one_minus_q_power(c: list[int], j: int) -> list[int]:
-    """The polynomial c(q) (1 - q^j), j degrees longer than c."""
-    out = c + [0] * j
-    for n, cn in enumerate(c):
-        out[n + j] -= cn
-    return out
 
 
 def _divide_one_minus_q_power(c: list[int], j: int) -> None:
@@ -119,34 +111,20 @@ def macmahon_exact_identity(k: int) -> bool:
         1 / ((1-q)...(1-q^k)) == sum over lambda of k of
             1 / (N(lambda) m_1!...m_k! prod_j (1-q^j)^{m_j})
 
-    by putting the right side over the common denominator
-    D = prod_j (1-q^j)^{floor(k/j)}, scaling by k! and cross-multiplying,
-    all in integer polynomials:
-
-        sum_lambda (k!/z_lambda) prod_j (1-q^j)^{floor(k/j)-m_j}
-            * prod_j (1-q^j) == k! D.
-
-    Returns True when the two sides agree identically.
+    identically, by comparing macmahon_lhs and macmahon_rhs through q^d,
+    d = sum_j j floor(k/j), an order at which agreement proves equality.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # Every term has degree sum_j j floor(k/j) - k, so all share one length.
-    acc: list[int] = []
-    for count, mult in _cycle_types(k):
-        term = [count]
-        for j in range(1, k + 1):
-            for _ in range(k // j - mult.get(j, 0)):
-                term = _times_one_minus_q_power(term, j)
-        acc = [a + b for a, b in zip(acc, term)] if acc else term
-    for j in range(1, k + 1):
-        acc = _times_one_minus_q_power(acc, j)
-
-    rhs = [math.factorial(k)]
-    for j in range(1, k + 1):
-        for _ in range(k // j):
-            rhs = _times_one_minus_q_power(rhs, j)
-    # The left side carries k(k-1)/2 extra degrees, which must all vanish.
-    return acc[: len(rhs)] == rhs and not any(acc[len(rhs):])
+    # Why order d decides.  D = prod_j (1-q^j)^{floor(k/j)} has degree d and
+    # every term's denominator divides it, so k! D (lhs - rhs) = q^k P with
+    #     P = k! prod_j (1-q^j)^{floor(k/j)-1}
+    #         - sum_lambda (k!/z_lambda) prod_j (1-q^j)^{floor(k/j)-m_j},
+    # an integer polynomial of degree <= d - k: each partition's term loses
+    # degree sum_j j m_j = k from D, and the left side loses k(k+1)/2 >= k.
+    # Agreement through q^d makes q^k P vanish through q^d, so P vanishes
+    # through q^(d-k), so P = 0.  D(0) = 1 makes D a unit in Z[[q]], so then
+    # lhs == rhs; and series that differ at any order already disprove it.
+    d = sum(j * (k // j) for j in range(1, k + 1))
+    return macmahon_lhs(k, d) == macmahon_rhs(k, d)
 
 
 def _exp_partition_sums(a: Sequence[Fraction], order: int) -> list[Fraction]:

@@ -5,9 +5,10 @@ package enumerates them.  partition_from_multiplicities inverts
 collections.Counter on a partition, and enumerate_partitions_fixed_length
 lists the bounded fixed-length partitions that the truncated direct sum and
 the restricted generating function fold.  subset_euler_product multiplies
-out a restricted Euler product over parts listed as Python ints, and
+out a restricted Euler product over parts listed as Python ints,
 exp_partition_sums_fraction sums the exponential's partition side one
-reduced Fraction product per partition.
+reduced Fraction product per partition, and poly_mul multiplies integer
+polynomials by schoolbook convolution.
 """
 
 from __future__ import annotations
@@ -91,3 +92,18 @@ def exp_partition_sums_fraction(a: Sequence, order: int) -> list[Fraction]:
             acc += term
         sums.append(acc)
     return sums
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a(q) b(q), len(a) + len(b) - 1 of them, by summing
+    every product a_i b_j into position i + j."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def one_minus_q_power(j: int) -> list[int]:
+    """Coefficients of the polynomial 1 - q^j, j >= 1."""
+    return [1] + [0] * (j - 1) + [-1]

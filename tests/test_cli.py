@@ -263,10 +263,30 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["faadibruno", "--order", "1", "--coeffs", "1,2,3"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for mode in (["--mode", "exact"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["macmahon", "--k", "4", *mode, "--order", "30"])
+        assert exc.value.code == 2
+        assert "--order only applies to --mode series" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--s", "nan", "--k", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# 10^14 float64 entries are 728 TiB, past the address space, so numpy refuses
+# the array at once without committing any memory.
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--s", "3", "--k", "2", "--max-part", str(10**14)],
+    ["genfun", "--s", "3", "--max-part", str(10**14)],
+    ["euler-product", "--form", "not-one", "--s", "2", "--max-factor", str(10**14)],
+], ids=["oracle", "genfun", "euler-product"])
+def test_impossible_size_reports_memory_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "MemoryError"
+    assert capsys.readouterr().err == ""
 
 
 def test_no_command_exits_2(capsys):

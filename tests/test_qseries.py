@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import exp_partition_sums_fraction
+from oracles import exp_partition_sums_fraction, one_minus_q_power, poly_mul
 from pzeta import qseries
 from pzeta.partitions import complete_homogeneous
 from pzeta.qseries import (
@@ -74,17 +74,12 @@ def test_divide_one_minus_q_power_gives_geometric_series():
     assert c == [1, 0, 1, 0, 1, 0, 1]
 
 
-def test_times_one_minus_q_power_small_case():
-    assert qseries._times_one_minus_q_power([1], 1) == [1, -1]
-    assert qseries._times_one_minus_q_power([1, 2], 3) == [1, 2, 0, -1, -2]
-
-
 def test_divide_undoes_times_one_minus_q_power_randomized():
     rng = random.Random(404)
     for _ in range(30):
         c = [rng.randint(-9, 9) for _ in range(11)]
         j = rng.randint(1, 6)
-        prod = qseries._times_one_minus_q_power(c, j)
+        prod = poly_mul(c, one_minus_q_power(j))
         assert len(prod) == len(c) + j
         qseries._divide_one_minus_q_power(prod, j)
         assert prod == c + [0] * j
@@ -252,13 +247,15 @@ def test_exact_identity_k2_by_hand():
     # 1/((1-q)(1-q^2)) == 1/(2(1-q)^2) + 1/(2(1-q^2)).  Times 2 and over the
     # common denominator (1-q)^2 (1-q^2), the right side's numerator is
     # (1-q^2) + (1-q)^2; cross-multiplied against 2 / ((1-q)(1-q^2)):
-    times = qseries._times_one_minus_q_power
-    num = [a + b for a, b in zip(times([1], 2), times(times([1], 1), 1))]
+    one_minus_q, one_minus_q2 = one_minus_q_power(1), one_minus_q_power(2)
+    num = [a + b for a, b in zip(one_minus_q2, poly_mul(one_minus_q, one_minus_q))]
     assert num == [2, -2, 0]
-    left = times(times(num, 1), 2)
-    right = times(times(times([2], 1), 1), 2)
+    left = poly_mul(poly_mul(num, one_minus_q), one_minus_q2)
+    right = poly_mul(poly_mul([2], poly_mul(one_minus_q, one_minus_q)), one_minus_q2)
     assert left == right + [0]
     assert sorted(qseries._cycle_types(2), key=str) == [(1, {1: 2}), (1, {2: 1})]
+    # The series comparison decides the identity at d = 1*2 + 2*1 = 4.
+    assert macmahon_lhs(2, 4) == macmahon_rhs(2, 4)
     assert macmahon_exact_identity(2)
 
 
