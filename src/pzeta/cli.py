@@ -260,8 +260,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
             _flatten(f"{prefix}[{i}]", item, rows)
     elif isinstance(value, bool):
         rows.append((prefix, "true" if value else "false"))
-    elif isinstance(value, float):
-        rows.append((prefix, repr(value)))
     else:
         rows.append((prefix, str(value)))
 

@@ -16,7 +16,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 def _decimal(n: int) -> str:
@@ -105,7 +104,6 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
         return _bernoulli_cache[: n_max + 1]
 
 
-@lru_cache(maxsize=None)
 def zeta_even_exact(two_m: int) -> PiPower:
     """Exact zeta value at a positive even integer argument 2m.
 

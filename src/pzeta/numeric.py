@@ -8,9 +8,9 @@ partitions, restricted Euler products, and pole orders.
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error bound (heuristic only for the Euler
 products' tail; euler_product_eval describes their real float64 kernel).
-For zeta it is the Euler-Maclaurin remainder bound plus
-a derived rounding bound (and, on the reflected branch, the Gamma
-factor's error); zeta results whose bound exceeds
+For zeta it is the Euler-Maclaurin remainder bound plus a derived
+rounding bound (on the reflected branch, with Gamma by Stirling's series
+and a proven remainder); zeta results whose bound exceeds
 PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
 with the untrusted value attached when one was computed (a bound whose
 rounding share alone is too large refuses before summing).  A direct
@@ -51,6 +51,8 @@ from .partitions import complete_homogeneous
 POLE_EXCLUSION_RADIUS = 1e-9
 #: A zeta result whose est_error bound exceeds this is refused.
 PRECISION_LOSS_THRESHOLD = 1e-8
+_PHASE_LOSS = ("rounding of the phases Im(s) log n for n <= {} at s = {} alone exceeds "
+               f"{PRECISION_LOSS_THRESHOLD:.0e}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,8 @@ def _sinpi(z: complex) -> complex:
     """sin(pi z) with exact argument reduction on the real part, so integer
     z gives exactly zero (plain cmath.sin(pi*z) leaves an absolute error
     around |z| * 1e-16, which Gamma factors then amplify)."""
-    x, y = z.real, z.imag
-    n = round(x)
-    r = x - n  # exact for |x| < 2^52
-    inner = cmath.sin(math.pi * complex(r, y))
+    n = round(z.real)
+    inner = cmath.sin(math.pi * (z - n))  # z - n is exact for |Re z| < 2^52
     return inner if n % 2 == 0 else -inner
 
 
@@ -238,58 +238,64 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0) -> EvalResult:
     return EvalResult(value, bound + rounding, n_cut + depth)
 
 
-# zeta'(0) = -log(2 pi) / 2, for the expansion of the reflected branch at 0.
-_ZETA_PRIME_AT_0 = -0.9189385332046727
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+#: Stirling's coefficients B_2r / (2r (2r - 1)), r = 1..8.
+_STIRLING = tuple(float(bernoulli_numbers(16)[2 * r] / (2 * r * (2 * r - 1))) for r in range(1, 9))
+
+
+def _gamma(z: complex) -> complex:
+    """Gamma(z) for Re(z) >= 1/2.  Shifted to |z| >= 15, log Gamma(z) is
+    (z - 1/2) log z - z + log(2 pi)/2 + sum_{r<=8} c_r z^(1-2r) + R, with
+    |R| at most sec^18(arg(z)/2) <= 2^9 times the first omitted term
+    (DLMF 5.11(ii)): |R| < 2^9 |B_18| / (18 17 15^17) < 1e-18."""
+    p = 1.0  # Gamma(z) = Gamma(z + m) / (z (z + 1) ... (z + m - 1))
+    while abs(z) < 15:
+        p *= z
+        z += 1
+    w = 1 / z
+    w2 = w * w
+    acc = 0j
+    for c in reversed(_STIRLING):
+        acc = acc * w2 + c
+    series = acc * w
+    x, y, log_z = z.real, z.imag, cmath.log(z)
+    # Each part as large as |z| log |z| is rounded once before the last sum.
+    re = ((x - 0.5) * log_z.real - (x - _HALF_LOG_2PI - series.real)) - y * log_z.imag
+    im = y * log_z.real + ((x - 0.5) * log_z.imag + series.imag - y)
+    return cmath.rect(math.exp(re), im) / p
 
 
 def _zeta_functional(s: complex) -> EvalResult:
     # Reflected branch: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
     if abs(s) < 1e-6:
         # At s = 0 the sin zero meets the zeta(1-s) pole; use the Taylor
-        # expansion zeta(s) = -1/2 + zeta'(0) s + O(s^2) instead.
-        value = -0.5 + _ZETA_PRIME_AT_0 * s
+        # expansion zeta(s) = -1/2 - log(2 pi) s / 2 + O(s^2) instead.
+        value = -0.5 - _HALF_LOG_2PI * s
         return EvalResult(value, 2.0 * abs(s) ** 2 + 1e-16, 0)
     try:
-        prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma_lanczos(1 - s)
+        prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma(1 - s)
     except OverflowError:
         raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}") from None
     # Multiplied, not divided: the prefactor is exactly 0 at the trivial zeros.
     inner = _zeta_euler_maclaurin(1 - s, abs(prefactor))
     value = prefactor * inner.value
-    # Relative error of the value beyond inner's: the Lanczos formula is
-    # within 1712 u of Gamma on Re z >= 1/2 (its limit as |Im z| grows,
-    # checked against mpmath), and rounding adds, in units of u, about
-    # 9 |t| in the phases of 2^s, pi^(s-1), sin and Gamma's exponential,
-    # 2 |1-s| log |1-s+7.5| in Gamma's power, 3.5 (|s| + 1) in the moduli,
-    # and under 70 for the Lanczos sum and the products.
-    rel = _U * (1800 + (abs(s) + 1) * (20 + 2 * math.log(abs(s) + 2)))
+    # Relative error beyond inner's, in units of u, each operation (libm's
+    # too) erring by at most u.  Gamma at z = 1 - s = x + iy, ell = log |z|
+    # >= log 15: log |z| and theta = arg z err by ell + 1 and |theta|, so the
+    # exponent errs by |y| (3 ell + 1) + 3 |y theta| + 5 (x - 1/2) |theta| +
+    # (x - 1/2)(4 ell - 1) + 2x + 4 <= |y| (3 ell + 6) + x (4 ell + 9), and
+    # the series, R and the exp add 4.  For |z| < 15 that is under 397 at the
+    # shifted z (|z| < 16), plus 14 products (sqrt 5 each), the division (6)
+    # and (1 + 2 + 4 + 8) |psi| < 48 where Re z + 1 rounds passing 1, 2, 4, 8,
+    # so Gamma errs by under 510 + |y| (3 ell + 6) + x (4 ell + 9).  Rounding
+    # 1 - s moves Gamma by (1 - sigma) |psi| < 50 + (1 - sigma)(ell + 1).  The
+    # phases of 2^s, pi^(s-1) and sin err by 6.83 |t| (sin's by 1.35 u |w cot w|
+    # <= 1.35 u (1 + 1.32 |Im w|)), their moduli by 1.5 (1 - sigma) + 25, and
+    # the four products by 9.
+    ell = math.log(abs(1 - s))
+    rel = _U * (600 + abs(s.imag) * (3 * ell + 13) + (1 - s.real) * (5 * ell + 12))
     est = abs(prefactor) * inner.est_error + abs(value) * rel
     return EvalResult(value, est, inner.terms_used)
-
-
-_LANCZOS_G = 7
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_lanczos(z: complex) -> complex:
-    """Complex gamma function for Re(z) >= 1/2, Lanczos approximation (g=7,
-    9 coefficients).  Its only caller passes 1 - s with Re(s) < 1/2."""
-    z = z - 1
-    x = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
 def riemann_zeta(s: complex) -> EvalResult:
@@ -303,7 +309,7 @@ def riemann_zeta(s: complex) -> EvalResult:
 
     est_error is the remainder bound plus a rounding bound, which grows
     like |Im s| log N u (u = 2^-53); the reflected branch scales it by the
-    prefactor and adds the Gamma approximation's error.  A bound past
+    prefactor and adds the prefactor's rounding, Gamma's included.  A bound past
     PRECISION_LOSS_THRESHOLD raises PrecisionLoss: on the critical line
     from about |Im s| = 3 10^4, and before any term is summed once the
     partial sum's share of the rounding bound alone passes it.  Non-finite
@@ -410,8 +416,7 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
                         "max_part must be >= 1 and k_max >= 0")
     phase, _ = _kernel_rounding(s, k_max, max_part)
     if phase > PRECISION_LOSS_THRESHOLD:
-        raise PrecisionLoss(f"rounding of the phases Im(s) log n for n <= {max_part} at "
-                            f"s = {s} alone exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
+        raise PrecisionLoss(_PHASE_LOSS.format(max_part, s))
     return _bounded_part_sums(s, max_part, k_max)
 
 
@@ -435,9 +440,7 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     value = _bounded_part_sums(s, max_part, k)[k]
     result = EvalResult(value, est + rounding, k * max_part)
     if phase > PRECISION_LOSS_THRESHOLD:
-        raise PrecisionLoss(f"rounding of the phases Im(s) log n for n <= {max_part} at "
-                            f"s = {s} alone exceeds {PRECISION_LOSS_THRESHOLD:.0e}",
-                            partial=result)
+        raise PrecisionLoss(_PHASE_LOSS.format(max_part, s), partial=result)
     return _finite(result)
 
 

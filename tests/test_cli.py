@@ -260,6 +260,10 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
+        cli.main(["euler-product", "--form", "subset", "--s", "2", "--subset", "2,x"])
+    assert exc.value.code == 2
+    assert "cannot parse integer list" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
         cli.main(["faadibruno", "--order", "1", "--coeffs", "1,2,3"])
     assert exc.value.code == 2
     capsys.readouterr()
@@ -308,6 +312,24 @@ def test_text_format_renders_aligned_rows(capsys):
 def test_text_format_booleans_lowercase(capsys):
     _, out = run_cli(capsys, "macmahon", "--k", "2", "--format", "text")
     assert "verified" in out and "true" in out
+
+
+def test_text_format_float_and_list_rows(capsys):
+    # Floats print as repr, so a row reads back as the JSON number.
+    _, doc = run_cli(capsys, "eval", "--s", "2", "--k", "1")
+    doc = json.loads(doc)
+    _, out = run_cli(capsys, "eval", "--s", "2", "--k", "1", "--format", "text")
+    assert dict(line.split() for line in out.splitlines()) == {
+        "est_error": repr(doc["est_error"]),
+        "terms_used": str(doc["terms_used"]),
+        "value.im": "0.0",
+        "value.re": repr(doc["value"]["re"]),
+    }
+    _, out = run_cli(capsys, "genfun", "--s", "2", "--max-part", "2", "--k-max", "2",
+                     "--format", "text")
+    assert out.splitlines() == [
+        "coeffs[0].im  0.0", "coeffs[0].re  1.0", "coeffs[1].im  0.0", "coeffs[1].re  1.25",
+        "coeffs[2].im  0.0", "coeffs[2].re  1.3125", "k_max         2", "max_part      2"]
 
 
 def test_format_flag_works_before_subcommand(capsys):

@@ -28,8 +28,11 @@ from pzeta.exact import bernoulli_numbers, partition_zeta_exact, zeta_even_exact
 from pzeta.numeric import (
     EvalResult,
     PRECISION_LOSS_THRESHOLD,
+    _STIRLING,
+    _U,
     _em_factors,
     _em_plan,
+    _gamma,
     _trusted,
     _zeta_euler_maclaurin,
     _zeta_functional,
@@ -183,6 +186,12 @@ def test_em_factor_table_is_shared_and_exact():
             float(bs[2 * r]) / math.factorial(2 * r) for r in range(depth))
 
 
+def test_stirling_coefficients_are_exact_bernoulli_quotients():
+    bs = bernoulli_numbers(16)
+    assert _STIRLING == tuple(float(bs[2 * r] / (2 * r * (2 * r - 1))) for r in range(1, 9))
+    assert _STIRLING[:2] == (1 / 12, -1 / 360)
+
+
 def test_zeta_cutoff_follows_height_and_real_part():
     assert riemann_zeta(0.5 + 1e4j).terms_used < 6000
     # Far right, a handful of terms meets the bound at any height.
@@ -260,6 +269,21 @@ def test_zeta_est_error_bounds_the_error_against_mpmath():
     for s in points:
         got = riemann_zeta(s)
         assert abs(got.value - _mpmath_zeta(mpmath, s)) <= got.est_error, s
+
+
+def test_gamma_stays_within_its_derived_bound_against_mpmath():
+    # _zeta_functional's comment derives Gamma's relative error as under
+    # (510 + |y| (3 ell + 6) + x (4 ell + 9)) u, z = x + iy, ell = log |z|.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(2031)
+    for i in range(300):
+        y = rng.uniform(0, 450) if i % 2 else 10 ** rng.uniform(-3, 2.6)
+        z = complex(rng.uniform(0.5, 32), rng.choice((-1, 1)) * y)
+        ell = math.log(abs(z))
+        bound = _U * (510 + abs(z.imag) * (3 * ell + 6) + z.real * (4 * ell + 9))
+        want = mpmath.gamma(mpmath.mpc(z.real, z.imag))
+        assert abs(_gamma(z) - want) / abs(want) <= bound, z
 
 
 def test_family_est_error_bounds_the_error_against_mpmath():
@@ -513,6 +537,17 @@ def test_genfun_refuses_rounding_noise():
     # k_max = 0 reads no phase, and Im s = 1e5 stays under the threshold.
     assert restricted_genfun_coeffs(2 + 1e300j, 1000, 0) == [1]
     assert len(restricted_genfun_coeffs(4 + 1e5j, 1000, 2)) == 3
+
+
+def test_genfun_refuses_an_overflowing_rounding_bound_before_summing(monkeypatch):
+    # (1 + Z1)^k overflows near Re s = 1 at k = 400, so the phase share is
+    # infinite and the kernel must never run.
+    def kernel(*args):
+        raise AssertionError("summed before refusing")
+
+    monkeypatch.setattr("pzeta.numeric._bounded_part_sums", kernel)
+    with pytest.raises(PrecisionLoss):
+        restricted_genfun_coeffs(1.0001 + 1j, 1000, 400)
 
 
 def test_genfun_rejects_non_finite_s():
