@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -36,13 +36,15 @@ def format_rational(value: Fraction | int) -> str:
     return f"{sign}{_decimal(abs(q.numerator))}/{_decimal(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class PiPower:
-    """Exact value ``coeff * pi**exponent``; scaling by an int or Fraction
-    keeps the exponent."""
+class PiPower(namedtuple("PiPower", "coeff exponent", defaults=(0,))):
+    """Exact value ``coeff * pi**exponent``, a read-only (coeff, exponent)
+    record that compares and hashes as that pair; scaling by an int or
+    Fraction keeps the exponent, and adding two PiPowers raises TypeError."""
 
-    coeff: Fraction
-    exponent: int = 0
+    __slots__ = ()
+
+    def __add__(self, other):
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .errors import (
     DivergenceRegion,
@@ -55,15 +55,13 @@ _PHASE_LOSS = ("rounding of the phases Im(s) log n for n <= {} at s = {} alone e
                f"{PRECISION_LOSS_THRESHOLD:.0e}")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value est_error terms_used")):
     """A complex value, a bound on its absolute error (heuristic only for
     euler_product_eval's tail), and the number of summation terms consumed
-    producing it."""
+    producing it: a read-only (value, est_error, terms_used) record that
+    compares and hashes as that triple."""
 
-    value: complex
-    est_error: float
-    terms_used: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -338,7 +336,8 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     product).  terms_used is the zeta terms plus k(k+1)/2 recurrence products.
 
     k = 0 returns exactly 1.  Rejects s within POLE_EXCLUSION_RADIUS of any
-    pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j.
+    pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j,
+    and a finite s whose multiple j s overflows with DomainError naming j.
     """
     s = _finite_arg(s)
     if k < 0:
@@ -346,6 +345,8 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     for j in range(1, k + 1):
         if abs(s - 1 / j) < POLE_EXCLUSION_RADIUS:
             raise PoleProximity(j)
+        if not cmath.isfinite(j * s):
+            raise DomainError(f"j s overflows at j = {j}, s = {s}")
     zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
     value = complete_homogeneous([z.value for z in zetas], 1 + 0j)[k]
     a = [abs(z.value) for z in zetas]
@@ -463,28 +464,25 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
         return math.inf
 
 
-_PROBE_SCALES = (1e-3, 5e-4)
+#: Probe offsets right of the pole, each twice the one before.
+_PROBE_STEPS = (5e-4, 1e-3, 2e-3)
 
 
 def pole_order_estimate(k: int, j: int) -> int:
     """Estimated order of the pole of the length-k value at s = 1/j.
 
     Probes the real axis just right of the pole at two scales: the growth
-    exponent comes from log2 |f(1/j + eps) / f(1/j + 2 eps)|, and the two
-    scales must round to the same integer, otherwise FitUnstable is raised.
+    exponent comes from log2 |f(1/j + eps) / f(1/j + 2 eps)| at eps = 1e-3
+    and 5e-4, three evaluations in all, and the two scales must round to the
+    same integer, otherwise FitUnstable is raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= j <= k:
         raise ValueError("j must satisfy 1 <= j <= k")
     pole = 1.0 / j
-
-    def probe(eps: float) -> float:
-        far = partition_zeta_family(pole + 2 * eps, k).value
-        near = partition_zeta_family(pole + eps, k).value
-        return math.log(abs(far / near)) / math.log(0.5)
-
-    estimates = [probe(eps) for eps in _PROBE_SCALES]
+    f = [partition_zeta_family(pole + eps, k).value for eps in _PROBE_STEPS]
+    estimates = [math.log(abs(f[i + 1] / f[i])) / math.log(0.5) for i in (1, 0)]
     rounded = [round(e) for e in estimates]
     if rounded[0] != rounded[1]:
         raise FitUnstable(
@@ -492,9 +490,9 @@ def pole_order_estimate(k: int, j: int) -> int:
     return rounded[0]
 
 
-@dataclass(frozen=True)
-class ProductForm:
-    """Which part values a restricted Euler product runs over.
+class ProductForm(namedtuple("ProductForm", "kind admits", defaults=(None,))):
+    """Which part values a restricted Euler product runs over: a read-only
+    (kind, admits) record that compares and hashes as that pair.
 
     kind "subset": factor 1/(1 - n^-s) for every n admitted by the
     predicate.  It is called once per evaluation, with the int64 array
@@ -506,8 +504,7 @@ class ProductForm:
     partitions with pairwise distinct parts.
     """
 
-    kind: str
-    admits: Callable | None = None
+    __slots__ = ()
 
     @classmethod
     def subset_parts(cls, admits: Callable) -> "ProductForm":

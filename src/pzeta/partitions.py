@@ -8,7 +8,7 @@ len(lam), norm math.prod(lam) and multiplicities collections.Counter(lam).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 
 def enumerate_partitions_of_size(k: int) -> Iterator[tuple[int, ...]]:

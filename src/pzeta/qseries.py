@@ -27,20 +27,19 @@ over the partitions of size <= order on ints scaled by order! den^order.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .numeric import restricted_genfun_coeffs  # noqa: F401  also public as qseries.restricted_genfun_coeffs
 from .partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Exact coefficients of q^0..q^(len(coeffs) - 1) of a power series."""
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs")):
+    """Exact coefficients of q^0..q^(len(coeffs) - 1) of a power series: a
+    read-only record of the one list, equal when the lists are equal."""
 
-    coeffs: list
+    __slots__ = ()
 
 
 def _divide_one_minus_q_power(c: list[int], j: int) -> None:

@@ -235,6 +235,14 @@ def test_reflection_overflow_reports_domain_error(capsys):
     assert doc["error"] == "PrecisionLoss"
 
 
+def test_overflowing_multiple_of_s_reports_domain_error(capsys):
+    # s is finite, but 2 s is not: the error names j and the user's s.
+    code, out = run_cli(capsys, "eval", "--s=1e308", "--k", "3")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc == {"detail": "j s overflows at j = 2, s = (1e+308+0j)", "error": "DomainError"}
+
+
 def test_value_error_reports_exit_1(capsys):
     code, out = run_cli(capsys, "exact", "--m", "0", "--k", "2")
     doc = json.loads(out)
@@ -350,19 +358,21 @@ def test_python_dash_m_invocation():
     assert proc.stdout == '{"coeff":"7/360","pi_power":4}\n'
 
 
-# --- numpy stays off the import path ---------------------------------------------------
+# --- numpy and dataclasses stay off the import path -------------------------------------
 # Only the bounded-part kernel (restricted_genfun_coeffs, direct_sum_truncated),
 # truncation_error_estimate, euler_product_eval and ProductForm.subset_parts
 # import numpy, so only the oracle, euler-product and genfun subcommands
-# load it.  Each check runs in a
-# fresh interpreter, where nothing else has imported numpy.
+# load it.  The records are namedtuples, so nothing loads dataclasses.  Each
+# check runs in a fresh interpreter, where nothing else has imported either.
 
 def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
 
 
 def test_import_does_not_load_numpy():
-    proc = run_python("import pzeta, sys; assert 'numpy' not in sys.modules")
+    proc = run_python("import pzeta, sys\n"
+                      "assert 'numpy' not in sys.modules\n"
+                      "assert 'dataclasses' not in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -378,7 +388,8 @@ def test_subcommand_does_not_load_numpy(argv):
         "import sys\n"
         "from pzeta import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "assert 'numpy' not in sys.modules\n")
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
     json.loads(proc.stdout)
 

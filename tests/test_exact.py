@@ -120,6 +120,23 @@ def test_pi_power_json():
     assert PiPower(Fraction(7, 360), 4).to_json() == {"coeff": "7/360", "pi_power": 4}
 
 
+def test_pi_power_is_a_read_only_record():
+    a = PiPower(Fraction(7, 360), 4)
+    assert PiPower(Fraction(1, 2)).exponent == 0
+    assert a == PiPower(Fraction(7, 360), 4)
+    assert a != PiPower(Fraction(7, 360), 2)
+    assert hash(a) == hash(PiPower(Fraction(7, 360), 4))
+    assert repr(a) == "PiPower(coeff=Fraction(7, 360), exponent=4)"
+    with pytest.raises(AttributeError):
+        a.coeff = Fraction(1)
+    with pytest.raises(AttributeError):
+        a.exponent = 2
+    # Values with different powers of pi do not add, and a PiPower is no
+    # sequence to concatenate.
+    with pytest.raises(TypeError):
+        a + a
+
+
 # --- rational serialization ----------------------------------------------------
 
 def test_format_and_parse_rational_round_trip():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_partitions_fixed_length, subset_euler_product
+from pzeta import numeric
 from pzeta.errors import (
     DivergenceRegion,
     DomainError,
@@ -58,6 +59,38 @@ ZETA_M42 = -0.0014687209305056967445
 FAMILY_25_K3 = 1.4331423363901825735
 FAMILY_2_1J_K2 = 1.0649087903043777837 - 0.53904663517272359542j
 FAMILY_73_K4 = 1.5550900251160430613
+
+
+# --- the records -------------------------------------------------------------
+
+def test_eval_result_is_a_read_only_record():
+    r = EvalResult(1 + 2j, 1e-16, 3)
+    assert r == EvalResult(1 + 2j, 1e-16, 3)
+    assert r != EvalResult(1 + 2j, 1e-16, 4)
+    assert hash(r) == hash(EvalResult(1 + 2j, 1e-16, 3))
+    assert repr(r) == "EvalResult(value=(1+2j), est_error=1e-16, terms_used=3)"
+    with pytest.raises(AttributeError):
+        r.value = 0j
+    assert r.to_json() == {"value": {"re": 1.0, "im": 2.0}, "est_error": 1e-16, "terms_used": 3}
+
+
+def test_product_form_is_a_read_only_record():
+    distinct = ProductForm.distinct_parts()
+    assert distinct == ProductForm("distinct")
+    assert distinct.admits is None
+    assert ProductForm.parts_not_one() == ProductForm("not_one", None)
+    assert distinct != ProductForm.parts_not_one()
+    assert hash(distinct) == hash(ProductForm("distinct"))
+    assert repr(distinct) == "ProductForm(kind='distinct', admits=None)"
+
+    def even(n):
+        return n % 2 == 0
+
+    subset = ProductForm.subset_parts(even)
+    assert (subset.kind, subset.admits) == ("subset", even)
+    assert subset == ProductForm("subset", even)
+    with pytest.raises(AttributeError):
+        distinct.kind = "subset"
 
 
 # --- riemann_zeta -------------------------------------------------------------
@@ -357,6 +390,11 @@ def test_family_pole_proximity_names_the_factor():
     assert exc.value.j == 1
 
 
+def test_family_names_the_multiple_of_s_that_overflows():
+    with pytest.raises(DomainError, match=r"j = 2, s = \(1e\+308\+0j\)"):
+        partition_zeta_family(1e308, 3)
+
+
 def test_family_rejects_negative_length():
     with pytest.raises(ValueError):
         partition_zeta_family(2, -1)
@@ -559,11 +597,22 @@ def test_genfun_rejects_non_finite_s():
 
 # --- pole_order_estimate --------------------------------------------------------------
 
-def test_pole_orders_small_grid():
-    # The pole of the length-k value at s = 1/j has order floor(k/j).
-    for k in range(1, 6):
+def test_pole_orders_small_grid(monkeypatch):
+    # The pole of the length-k value at s = 1/j has order floor(k/j).  The
+    # scales eps = 1e-3 and 5e-4 share the point 1/j + 1e-3 (2 * 5e-4 is
+    # 1e-3 exactly), so each estimate takes three family evaluations.
+    calls = []
+
+    def counting(s, k):
+        calls.append(s)
+        return partition_zeta_family(s, k)
+
+    monkeypatch.setattr(numeric, "partition_zeta_family", counting)
+    for k in range(1, 9):
         for j in range(1, k + 1):
+            calls.clear()
             assert pole_order_estimate(k, j) == k // j, (k, j)
+            assert sorted(calls) == [1 / j + 5e-4, 1 / j + 1e-3, 1 / j + 2e-3]
 
 
 def test_pole_order_validation():

@@ -231,6 +231,17 @@ def test_rhs_equals_lhs_coefficientwise():
         assert macmahon_lhs(k, order) == macmahon_rhs(k, order), k
 
 
+def test_truncated_series_is_a_read_only_record():
+    lhs = macmahon_lhs(2, 6)
+    assert lhs == qseries.TruncatedSeries([0, 0, 1, 1, 2, 2, 3])
+    assert lhs != qseries.TruncatedSeries([0, 0, 1, 1, 2, 2, 4])
+    assert repr(lhs) == "TruncatedSeries(coeffs=[0, 0, 1, 1, 2, 2, 3])"
+    with pytest.raises(TypeError):
+        hash(lhs)  # a list of coefficients does not hash
+    with pytest.raises(AttributeError):
+        lhs.coeffs = []
+
+
 def test_macmahon_order_must_cover_k():
     with pytest.raises(ValueError):
         macmahon_lhs(4, 3)
