@@ -289,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (DomainError, ModuleNotFoundError) as exc:
-        # ModuleNotFoundError: oracle, euler-product and genfun need numpy.
+        # ModuleNotFoundError: oracle, genfun and the even and subset forms
+        # of euler-product need numpy.
         _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt)
         return 1
     except ValueError as exc:

@@ -3,11 +3,13 @@
 Riemann zeta through Euler-Maclaurin summation (reflected by the functional
 equation on the left half plane), fixed-length partition zeta values from
 zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, sums over bounded
-partitions, restricted Euler products, and pole orders.
+partitions, restricted Euler products, and pole orders.  One
+Euler-Maclaurin kernel sums n^-s from any start a: a = 1 for zeta, and the
+Hurwitz values zeta(js, a) for the tails of the built-in Euler products.
 
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error bound (heuristic only for the Euler
-products' tail; euler_product_eval describes their real float64 kernel).
+products' tail; euler_product_eval describes its two routes).
 For zeta it is the Euler-Maclaurin remainder bound plus a derived
 rounding bound (on the reflected branch, with Gamma by Stirling's series
 and a proven remainder); zeta results whose bound exceeds
@@ -22,9 +24,10 @@ s log n overflows in the routines that form n^-s up to a caller's cutoff.
 
 numpy is imported only inside _bounded_part_sums (the kernel of
 restricted_genfun_coeffs and direct_sum_truncated),
-truncation_error_estimate, euler_product_eval and ProductForm.subset_parts,
-so importing the package and the zeta, F_k and pole-order paths never load
-it.
+truncation_error_estimate, _array_log_sum (euler_product_eval's array pass,
+run for every subset form and for a built-in form only where it is planned
+cheaper) and ProductForm.subset_parts, so importing the package, the zeta,
+F_k and pole-order paths and the built-in Euler products never load it.
 """
 
 from __future__ import annotations
@@ -152,18 +155,21 @@ _LOG_4 = math.log(4.0)
 _LOG_4PI2 = 2 * math.log(2 * math.pi)
 
 
-def _em_plan(s: complex) -> tuple[int, int, float]:
-    """Cutoff N, depth M and the bound on the Euler-Maclaurin remainder
-    after M corrections (Johansson, arXiv:1309.2877, Theorem 1):
+def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
+    """Cutoff N >= a, depth M and the bound on the Euler-Maclaurin remainder
+    of sum_{n>=a} n^-s after M corrections (Johansson, arXiv:1309.2877,
+    Theorem 1, stated for the Hurwitz zeta function; the bound depends on
+    the cutoff N, not on a):
 
         |R| <= 4 |(s)_2M| / ((2 pi)^2M (sigma + 2M - 1)) * N^(1 - sigma - 2M),
 
     valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  Picks
-    the cheapest pair (cost N + 4M) whose bound meets 1e-16.  Depths are
-    scanned upwards and the scan stops once the cost starts rising.  Every
-    caller has sigma >= 1/2, so no Pochhammer factor vanishes."""
+    the cheapest pair whose bound meets 1e-16, at a cost of the powers n^-s
+    for a <= n <= N plus 4 per depth.  Depths are scanned upwards and the
+    scan stops once the cost starts rising.  Every caller has sigma >= 1/2,
+    so no Pochhammer factor vanishes."""
     sigma, t = s.real, s.imag
-    best = math.inf
+    best, skipped = math.inf, float(a - 1)
     log_poch = 0.0  # log |(s)_2M|
     for m in range(1, _MAX_CORRECTIONS + 1):
         e = sigma + (2 * m - 1)
@@ -171,49 +177,68 @@ def _em_plan(s: complex) -> tuple[int, int, float]:
         log_poch += math.log(math.hypot(e - 1, t)) + math.log(math.hypot(e, t))
         log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - math.log(e)
         n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
-        cost = n + _CORRECTION_COST * m
+        cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
         if cost >= best:
             break
         best, pick = cost, (m, log_c, e, n)
     m, log_c, e, n = pick
-    n = max(2, math.ceil(n))
+    n = max(2, a, math.ceil(n))
     log_bound = log_c - e * math.log(n)
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _zeta_euler_maclaurin(s: complex, scale: float = 1.0) -> EvalResult:
-    # Direct branch: partial sum to N-1 plus the integral, half-term and M
-    # Bernoulli corrections, with (N, M) from _em_plan.  est_error is the
+def _em_partial_rounding(s: complex, a: int, n_cut: int) -> float:
+    """Rounding bound, in units of u, of the partial sum of n^-s over
+    a <= n < n_cut."""
+    # CPython forms n^-s as n^-sigma (cos, sin)(t log n), two roundings in
+    # the phase, so n^-s carries a relative error of at most
+    # 2 |t| log n + c; c = 20 covers pow, cos/sin, the products and the
+    # repeated squaring CPython uses for integer s <= 100.  The N - a terms
+    # sum to Z = sum_{a<=n<N} n^-sigma <= a^-sigma + Z1, with
+    # Z1 = int_a^N x^-sigma = a^(1-sigma) (e^((1-sigma) log(N/a)) - 1) / (1 - sigma),
+    # and adding each one errs by at most |S_k| <= Z.  The phase share
+    # 2 |t| log n is at most 2 |t| log a on the n = a term and 2 |t| log N
+    # on the rest, whose moduli sum to at most Z1: the partial sum errs by
+    # at most u ((21 + N - a) Z + 2 |t| (log N Z1 + log a a^-sigma)).  At
+    # a = 1 the n = 1 term 1 ** -s is exactly 1 + 0j and log a = 0, so the
+    # phase share falls on Z1 alone.  Far right N = 2 and Z1 is about
+    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma.
+    sigma, head = s.real, a ** -s.real
+    log_ratio = math.log(n_cut / a)
+    x = (1 - sigma) * log_ratio
+    z1 = a * head * math.expm1(min(x, 700.0)) / (1 - sigma) if x else log_ratio
+    return (21 + n_cut - a) * (head + z1) + 2 * abs(s.imag) * (math.log(n_cut) * z1 + math.log(a) * head)
+
+
+def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None) -> EvalResult:
+    # Direct branch: sum_{n>=a} n^-s as the partial sum over a <= n < N plus
+    # the integral, half-term and M Bernoulli corrections, with (N, M) from
+    # _em_plan(s, a) unless the caller passes that plan.  est_error is the
     # remainder bound plus a rounding bound.  The caller multiplies the
     # result by a factor of modulus ``scale``.
-    n_cut, depth, bound = _em_plan(s)
-    # Rounding, in units of u.  CPython forms n^-s as n^-sigma (cos, sin)
-    # (t log n), two roundings in the phase, so n^-s carries a relative
-    # error of at most 2 |t| log n + c; c = 20 covers pow, cos/sin, the
-    # products and the repeated squaring CPython uses for integer s <= 100.
-    # Adding to the partial sum errs by at most |S_k| <= Z per term, with
-    # Z = sum_{n<N} n^-sigma <= 1 + Z1, Z1 = int_1^N x^-sigma, and
-    # log n <= log N.  The n = 1 term 1 ** -s is exactly 1 + 0j, and adding
-    # it to 0j is exact, so the phase share 2 |t| log n only falls on
-    # sum_{2<=n<N} n^-sigma <= Z1: the partial sum errs by at most
-    # u ((20 + N) Z + 2 |t| log N Z1).  Far right N = 2 and Z1 is about
-    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma.
-    # The integral and half-term carry the error of N^-s plus a few
-    # roundings; correction r adds at most 9r more in w and its Bernoulli
-    # factor, and summing M corrections M more.
+    n_cut, depth, bound = plan or _em_plan(s, a)
+    # Rounding, in units of u: the partial sum's share from
+    # _em_partial_rounding, formed inline at a = 1 (zeta's path), where it
+    # is (20 + N)(1 + Z1) + 2 |t| log N Z1, Z1 = (N^(1-sigma) - 1) / (1 - sigma).
+    # The integral and half-term carry the error of N^-s (2 |t| log N + 20)
+    # plus a few roundings; correction r adds at most 9r more in w and its
+    # Bernoulli factor, and summing M corrections M more.
     sigma = s.real
     log_n = math.log(n_cut)
-    a = (1 - sigma) * log_n
-    z1 = math.expm1(min(a, 700.0)) / (1 - sigma) if a else log_n
     phase = 2 * abs(s.imag) * log_n
-    summed = (20 + n_cut) * (1 + z1) + phase * z1
+    if a == 1:
+        q = (1 - sigma) * log_n
+        z1 = math.expm1(min(q, 700.0)) / (1 - sigma) if q else log_n
+        summed = (20 + n_cut) * (1 + z1) + phase * z1
+    else:
+        summed = _em_partial_rounding(s, a, n_cut)
     if scale * (_U * summed) > PRECISION_LOSS_THRESHOLD:
         # The partial sum's share of the rounding bound alone is too large:
         # refuse before summing.
         raise PrecisionLoss(f"rounding over N = {n_cut:.3g} terms at s = {s} alone "
                             f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
     partial = 0j
-    for n in range(1, n_cut):
+    for n in range(a, n_cut):
         partial += n ** (-s)
     x = n_cut ** (-s)
     tail = n_cut * x / (s - 1) + 0.5 * x
@@ -233,7 +258,7 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0) -> EvalResult:
     value = partial + tail + corr
     mags = abs(x) * (n_cut / abs(s - 1) + 0.5) + size
     rounding = _U * (summed + (phase + 20 + 10 * depth) * mags)
-    return EvalResult(value, bound + rounding, n_cut + depth)
+    return EvalResult(value, bound + rounding, n_cut - a + 1 + depth)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -537,51 +562,156 @@ def _subset_mask(admits: Callable, n):
     return mask
 
 
+#: Parts of a built-in product whose factors are taken one at a time ahead
+#: of its tail.
+_HEAD = 64
+
+
+def _hurwitz_log_sum(s: complex, lo: int, sign: float, max_factor: int):
+    """(sum_{lo<=n<=N} log(1 + sign n^-s), a bound on its error beyond 1e-13)
+    for N = max_factor, as the head n <= _HEAD factor by factor plus the
+    tail through the shifted zeta kernel; None, before anything is summed,
+    where the planned cost is at least the array pass's N powers, where the
+    kernel's rounding share would pass PRECISION_LOSS_THRESHOLD, or from
+    N = 2^53 on, where n no longer converts to a double exactly."""
+    # For |y| < 1, log(1 + y) = -sum_j (-y)^j / j, so the tail K < n <= N,
+    # y = sign n^-s, is -sum_j (-sign)^j / j P_j with
+    # P_j = zeta(js, K+1) - zeta(js, N+1) = sum_{K<n<=N} n^-js.  With
+    # |P_j| <= b_j = (K+1)^(-j sigma) (1 + (K+1) / (j sigma - 1)) and
+    # b_(j+1) < b_j / 65, the terms from the first j with b_j / j <= u on
+    # sum to under 2 b_j / j: an error of u in the log is one of u relative
+    # in the product, far below the 1e-13 allowed for rounding.
+    if max_factor >= 2**53:
+        return None
+    top = min(max_factor, _HEAD)
+    cost, share, tail, j = top, 0.0, [], 1
+    while max_factor > _HEAD:
+        js = j * s.real
+        b = (_HEAD + 1) ** -js * (1 + (_HEAD + 1) / (js - 1))
+        if b <= j * _U:
+            break
+        z, plans = j * s, []
+        for a in (_HEAD + 1, max_factor + 1):
+            plan = _em_plan(z, a)
+            cost += plan[0] - a + 1 + _CORRECTION_COST * plan[1]
+            if cost >= max_factor:
+                return None
+            share += _em_partial_rounding(z, a, plan[0]) / j
+            plans.append((a, plan))
+        if _U * share > PRECISION_LOSS_THRESHOLD:
+            return None
+        tail.append((j, z, plans))
+        j += 1
+    err = 2 * b / j if max_factor > _HEAD else 0.0
+    sigma, t = s.real, s.imag
+    if t:
+        # log |1 + x| and arg(1 + x) as in the array pass.  x = sign n^-s
+        # errs by (2 |t| log n + 20) u relative, and |1 + x| >= 1/2 from
+        # n = 2 on, so the phase share moves the head by at most
+        # 4 |t| u log K sum_{2<=n<=K} n^-sigma <= 4 |t| u log K Z1; the rest
+        # is within the 1e-13.
+        re = im = 0.0
+        for n in range(lo, top + 1):
+            x = sign * n ** -s
+            re += math.log1p(x.real * (2 + x.real) + x.imag * x.imag)
+            im += math.atan2(x.imag, 1 + x.real)
+        log_sum = complex(0.5 * re, im)
+        log_top = math.log(top)
+        err += 4 * abs(t) * _U * log_top * -math.expm1((1 - sigma) * log_top) / (sigma - 1)
+    else:
+        log_sum = 0.0
+        for n in range(lo, top + 1):
+            log_sum += math.log1p(sign * n ** -sigma)
+    for j, z, plans in tail:
+        upper, lower = (_zeta_euler_maclaurin(z, 1 / j, a, plan) for a, plan in plans)
+        p = upper.value - lower.value
+        log_sum += -((-sign) ** j) / j * (p if t else p.real)
+        err += (upper.est_error + lower.est_error) / j
+    return log_sum, err
+
+
+def _array_log_sum(form: ProductForm, s: complex, sign: float, max_factor: int):
+    """(sum log(1 + sign n^-s) over the admitted n <= max_factor, the number
+    of those parts, the number of them above max_factor // 2) by one numpy
+    pass over the parts as float64."""
+    import numpy as np
+
+    if form.kind == "subset":
+        n = np.arange(1, max_factor + 1, dtype=np.int64)
+        parts = (np.flatnonzero(_subset_mask(form.admits, n)) + 1).astype(np.float64)
+    else:
+        parts = np.arange(1 if form.kind == "distinct" else 2, max_factor + 1, dtype=np.float64)
+    count = len(parts)
+    in_window = count - int(np.searchsorted(parts, max_factor // 2 + 1))
+    if s.imag == 0:
+        x = np.power(parts, -s.real, out=parts)
+        x *= sign
+        log_sum = float(np.sum(np.log1p(x, out=x)))
+    else:
+        mod, phase = sign * parts ** -s.real, s.imag * np.log(parts)
+        re, im = mod * np.cos(phase), -mod * np.sin(phase)
+        log_sum = complex(0.5 * float(np.sum(np.log1p(re * (2 + re) + im * im))),
+                          float(np.sum(np.arctan2(im, 1 + re))))
+    return log_sum, count, in_window
+
+
 def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalResult:
     """Evaluate a restricted Euler product over parts up to max_factor.
 
-    One array pass over the admitted parts, built as float64 (for a subset
-    form, from the mask of one predicate call on n = 1..max_factor): with
-    sign = +1 for distinct parts and -1 otherwise, the log of the product
-    is sign * sum log(1 + x), x = sign * n^-s.  Real s takes one np.log1p,
-    in place on the parts array; complex s takes
+    With sign = +1 for distinct parts and -1 otherwise, the log of the
+    product is sign * sum log(1 + x), x = sign * n^-s, over the admitted
+    parts n <= N = max_factor, summed by one of two routes.
+
+    The built-in forms take every n from 1 (distinct) or 2 (not_one).  Their
+    head n <= 64 is summed factor by factor in pure Python and their tail
+    64 < n <= N as -sum_j (-sign)^j / j [zeta(js, 65) - zeta(js, N+1)] from
+    the shifted Euler-Maclaurin kernel, j up to the first whose bound is
+    below u.  The terms are planned before anything is summed, and the
+    route is taken where the planned powers and corrections cost less than
+    the array pass's N powers and the kernel's rounding share stays within
+    PRECISION_LOSS_THRESHOLD; numpy is then never imported.
+
+    Otherwise, and always for a subset form, one numpy pass runs over the
+    admitted parts, built as float64 (for a subset form, from the mask of
+    one predicate call on n = 1..max_factor).  Real s takes one np.log1p, in
+    place on the parts array; complex s takes
     log|1 + x| = log1p(re (2 + re) + im^2) / 2 and
-    arg(1 + x) = atan2(im, 1 + re), both accurate at every |x|.  The tail
-    correction is the admitted density over the top W = max_factor -
+    arg(1 + x) = atan2(im, 1 + re), both accurate at every |x|.
+
+    The tail correction is the admitted density over the top W = max_factor -
     max_factor // 2 parts times max_factor^(1-s)/(s-1).  Requires Re(s) > 1;
     a predicate whose result is not a mask of n's shape raises InvalidForm.
 
     est_error (heuristic for an arbitrary predicate) is |value| times the
     next-order tail terms, the density's uncertainty 1/W times the tail
-    integral, and 1e-13 for rounding.  The value is real at real s.
+    integral, and 1e-13 for rounding, plus on the first route the kernel's
+    own bounds over j, the omitted j, and the head's phase rounding.  The
+    value is real at real s.
     """
-    import numpy as np
-
     s = _convergent_arg(s, max_factor, max_factor >= 1, "max_factor must be >= 1")
-    sigma = s.real
-    if form.kind == "subset":
-        n = np.arange(1, max_factor + 1, dtype=np.int64)
-        parts = n[_subset_mask(form.admits, n)].astype(np.float64)
-    elif form.kind in ("distinct", "not_one"):
-        parts = np.arange(1 if form.kind == "distinct" else 2, max_factor + 1, dtype=np.float64)
-    else:
+    if form.kind not in ("subset", "distinct", "not_one"):
         raise ValueError(f"unknown product form kind {form.kind!r}")
-    window = max_factor - max_factor // 2
-    density = (len(parts) - int(np.searchsorted(parts, max_factor // 2 + 1))) / window
+    sigma = s.real
     sign = 1.0 if form.kind == "distinct" else -1.0
-    if s.imag == 0:
-        x = np.power(parts, -sigma, out=parts)
-        x *= sign
-        log_sum = float(np.sum(np.log1p(x, out=x)))
+    window = max_factor - max_factor // 2
+    route = None
+    if form.kind != "subset":
+        lo = 1 if form.kind == "distinct" else 2
+        count, in_window = max_factor - lo + 1, max_factor - max(max_factor // 2, lo - 1)
+        route = _hurwitz_log_sum(s, lo, sign, max_factor)
+    if route is None:
+        log_sum, count, in_window = _array_log_sum(form, s, sign, max_factor)
+        err = 0.0
     else:
-        mod, phase = sign * parts ** -sigma, s.imag * np.log(parts)
-        re, im = mod * np.cos(phase), -mod * np.sin(phase)
-        log_sum = complex(0.5 * float(np.sum(np.log1p(re * (2 + re) + im * im))),
-                          float(np.sum(np.arctan2(im, 1 + re))))
-    value = cmath.exp(sign * log_sum + density * max_factor ** (1 - s) / (s - 1))
+        log_sum, err = route
+    density = in_window / window
+    try:
+        value = cmath.exp(sign * log_sum + density * max_factor ** (1 - s) / (s - 1))
+    except OverflowError:
+        raise PrecisionLoss(f"the product passes the double range at s = {s}") from None
     est = abs(value) * (
         density * (sigma * max_factor ** (-sigma)
                    + max_factor ** (1 - 2 * sigma) / (2 * sigma - 1))
-        + max_factor ** (1 - sigma) / ((sigma - 1) * window) + 1e-13
+        + max_factor ** (1 - sigma) / ((sigma - 1) * window) + 1e-13 + err
     )
-    return _finite(EvalResult(value, est, len(parts)))
+    return _finite(EvalResult(value, est, count))

@@ -287,11 +287,12 @@ def test_usage_errors_exit_2(capsys):
 
 
 # 10^14 float64 entries are 728 TiB, past the address space, so numpy refuses
-# the array at once without committing any memory.
+# the array at once without committing any memory.  The even form still
+# builds its parts as an array; the built-in forms no longer do.
 @pytest.mark.parametrize("argv", [
     ["oracle", "--s", "3", "--k", "2", "--max-part", str(10**14)],
     ["genfun", "--s", "3", "--max-part", str(10**14)],
-    ["euler-product", "--form", "not-one", "--s", "2", "--max-factor", str(10**14)],
+    ["euler-product", "--form", "even", "--s", "2", "--max-factor", str(10**14)],
 ], ids=["oracle", "genfun", "euler-product"])
 def test_impossible_size_reports_memory_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
@@ -299,6 +300,18 @@ def test_impossible_size_reports_memory_error(capsys, argv):
     doc = json.loads(out)
     assert doc["error"] == "MemoryError"
     assert capsys.readouterr().err == ""
+
+
+def test_not_one_at_10_to_14_factors_returns_its_closed_form(capsys):
+    # prod_{n>=2} 1/(1 - n^-2) = 2: the tail past n = 64 is summed through
+    # zeta(2j, 65) - zeta(2j, 10^14 + 1), with no array of parts.
+    code, out = run_cli(capsys, "euler-product", "--form", "not-one", "--s", "2",
+                        "--max-factor", str(10**14))
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["value"]["re"] - 2) <= doc["est_error"]
+    assert doc["value"]["im"] == 0.0
+    assert doc["terms_used"] == 10**14 - 1
 
 
 def test_no_command_exits_2(capsys):
@@ -360,9 +373,12 @@ def test_python_dash_m_invocation():
 
 # --- numpy and dataclasses stay off the import path -------------------------------------
 # Only the bounded-part kernel (restricted_genfun_coeffs, direct_sum_truncated),
-# truncation_error_estimate, euler_product_eval and ProductForm.subset_parts
-# import numpy, so only the oracle, euler-product and genfun subcommands
-# load it.  The records are namedtuples, so nothing loads dataclasses.  Each
+# truncation_error_estimate, euler_product_eval's array pass and
+# ProductForm.subset_parts import numpy, so only the oracle and genfun
+# subcommands and the even and subset forms of euler-product load it.  The
+# distinct and not-one forms sum their tail through the zeta kernel and stay
+# numpy-free unless the array pass is planned cheaper (far up the imaginary
+# axis).  The records are namedtuples, so nothing loads dataclasses.  Each
 # check runs in a fresh interpreter, where nothing else has imported either.
 
 def run_python(code):
@@ -382,6 +398,8 @@ def test_import_does_not_load_numpy():
     ["poles", "--k", "3"],
     ["macmahon", "--k", "4"],
     ["faadibruno", "--order", "6"],
+    ["euler-product", "--form", "not-one", "--s", "3", "--max-factor", "20000"],
+    ["euler-product", "--form", "distinct", "--s", "2"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_does_not_load_numpy(argv):
     proc = run_python(

@@ -304,6 +304,76 @@ def test_zeta_est_error_bounds_the_error_against_mpmath():
         assert abs(got.value - _mpmath_zeta(mpmath, s)) <= got.est_error, s
 
 
+def _mpmath_hurwitz(mpmath, s, a, digits=30):
+    # mpmath.zeta(s, a) stops its sum at an absolute tolerance, so it works
+    # ``digits`` digits below the value's size.  At complex s and a = 10^6 + 1 it
+    # takes seconds; there Hermite's integral (DLMF 25.11.29) with a^-s
+    # taken out, well conditioned for |Im s| << a, gives the value at once.
+    if s.imag and a > 10**6:
+        with mpmath.workdps(digits):
+            z, b = mpmath.mpc(s.real, s.imag), mpmath.mpf(a)
+            f = lambda x: (mpmath.sin(z * mpmath.atan(x / b))
+                           / ((1 + (x / b) ** 2) ** (z / 2) * mpmath.expm1(2 * mpmath.pi * x)))
+            # Past x = 12 the integrand is below e^(-2 pi 12) |s| / a.
+            return b ** -z * (0.5 + b / (z - 1) + 2 * mpmath.quad(f, [0, 2, 12]))
+    size = abs(a ** (1 - s) / (s - 1)) + a ** -s.real
+    with mpmath.workdps(digits + max(0, math.ceil(-math.log10(size)))):
+        z = mpmath.mpc(s.real, s.imag) if s.imag else mpmath.mpf(s.real)
+        return mpmath.zeta(z, a)
+
+
+def test_shifted_kernel_bounds_the_hurwitz_zeta_against_mpmath():
+    # sum_{n>=a} n^-s = zeta(s, a), with the cutoff max(a, planned N).
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2041)
+    for a in (1, 2, 65, 10**6 + 1):
+        for i in range(30):
+            t = 0.0 if i % 4 == 0 else rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 3)
+            s = complex(1 + 29 * (1 - rng.random()), t)  # Re s in (1, 30]
+            got = _zeta_euler_maclaurin(s, a=a)
+            n, m, _ = _em_plan(s, a)
+            assert abs(got.value - complex(_mpmath_hurwitz(mpmath, s, a))) <= got.est_error, (s, a)
+            assert got.terms_used == n - a + 1 + m
+
+
+def test_shifted_kernel_at_one_is_the_direct_branch_bit_for_bit():
+    rng = random.Random(2043)
+    for _ in range(200):
+        s = complex(rng.uniform(0.5, 40), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 4))
+        assert _em_plan(s, 1) == _em_plan(s)
+        got = _zeta_euler_maclaurin(s, a=1)
+        want = riemann_zeta(s)
+        assert (got.value, got.est_error, got.terms_used) == tuple(want), s
+        assert math.copysign(1, got.value.imag) == math.copysign(1, want.value.imag)
+
+
+def test_zeta_est_error_is_unchanged_by_the_shift():
+    # frozen: riemann_zeta's est_error before the kernel took a start a.
+    # The a = 1 rounding bound is formed inline; its phase share dominates
+    # the first and fifth values.
+    for s, want in ((0.5 + 1e4j, 1.4991654539253307e-09), (2 + 3j, 9.300088570074688e-15),
+                    (0.7 + 300j, 3.389988922042384e-12), (30 + 1e3j, 1.519496917190814e-14),
+                    (1.5 + 2e5j, 9.441301501719332e-10), (-0.5 + 3j, 3.307145400857841e-14)):
+        assert riemann_zeta(s).est_error == pytest.approx(want, rel=1e-9), s
+
+
+def test_shifted_kernel_cutoff_starts_at_the_shift():
+    # Past the planned cutoff no partial term is summed: N = a, only the
+    # powers from a on are counted, and the depth is the smallest whose
+    # remainder bound at N = a meets 1e-16.
+    def log_bound(s, m, n):
+        e = s.real + 2 * m - 1
+        return (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
+                - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
+
+    for s in (2 + 0j, 1.1 + 0j, 3 + 50j):
+        n, m, bound = _em_plan(s, 10**6 + 1)
+        assert n == 10**6 + 1 and bound <= 1e-16
+        assert m == min(k for k in range(1, 81) if log_bound(s, k, n) <= math.log(1e-16))
+        assert _zeta_euler_maclaurin(s, a=n).terms_used == 1 + m
+        assert _em_plan(s, 65)[0] >= 65
+
+
 def test_gamma_stays_within_its_derived_bound_against_mpmath():
     # _zeta_functional's comment derives Gamma's relative error as under
     # (510 + |y| (3 ell + 6) + x (4 ell + 9)) u, z = x + iy, ell = log |z|.
@@ -702,6 +772,95 @@ def test_product_at_real_s_is_real(form):
         got = euler_product_eval(form, s, 1000)
         assert got.value.imag == 0.0 and math.copysign(1.0, got.value.imag) == 1.0
         assert got == euler_product_eval(form, complex(s, 0), 1000)
+
+
+@pytest.mark.parametrize("s", [2, 1.1, 2 + 5j, 3 - 1j])
+def test_builtin_products_match_the_finite_product_times_its_tail(s):
+    # The product over n <= N at 40 digits (term by term to n = 200, past
+    # that through mpmath's zeta(js, 201) - zeta(js, N + 1)) times the same
+    # first-order tail factor, around the head's end K = 64 and far past it.
+    # Up to K only the head is summed; at K + 1 the array pass is planned
+    # cheaper; from 10^4 on the tail runs through the kernel.
+    mpmath = pytest.importorskip("mpmath")
+    s = complex(s)
+    for n_max in (numeric._HEAD - 1, numeric._HEAD, numeric._HEAD + 1, 10**4, 10**6):
+        top = min(n_max, 200)
+        with mpmath.workdps(40):
+            z = mpmath.mpc(s.real, s.imag)
+            powers = []  # sum_{top<n<=N} n^-js
+            while n_max > top and 201 ** (-len(powers) * s.real) > 1e-42:
+                js = (len(powers) + 1) * s
+                powers.append(_mpmath_hurwitz(mpmath, js, 201, 40) - _mpmath_hurwitz(mpmath, js, n_max + 1, 40))
+            tail = n_max ** (1 - z) / (z - 1)
+            for form, lo, sign in ((ProductForm.distinct_parts(), 1, 1), (ProductForm.parts_not_one(), 2, -1)):
+                log_sum = mpmath.fsum(mpmath.log(1 + sign * mpmath.power(n, -z)) for n in range(lo, top + 1))
+                log_sum -= mpmath.fsum((-sign) ** j / j * p for j, p in enumerate(powers, 1))
+                want = complex(mpmath.exp(sign * log_sum + tail))
+                got = euler_product_eval(form, s, n_max)
+                assert abs(got.value - want) <= 1e-13 * abs(want), (form.kind, s, n_max)
+                assert got.terms_used == n_max - lo + 1
+                if not s.imag:
+                    assert got.value.imag == 0.0 and math.copysign(1.0, got.value.imag) == 1.0
+
+
+def test_builtin_product_routes_are_planned_before_summing(monkeypatch):
+    calls = []
+    array_pass = numeric._array_log_sum
+    monkeypatch.setattr(numeric, "_array_log_sum", lambda *args: calls.append(args[1]) or array_pass(*args))
+    forms = (ProductForm.distinct_parts(), ProductForm.parts_not_one())
+    # Far past the head the tail costs a few dozen powers.
+    for form in forms:
+        for s in (2, 1.01, 30, 2 + 1e3j):
+            euler_product_eval(form, s, 10**6)
+    assert calls == []
+    # High up the imaginary axis the kernel's cutoffs cost more than N
+    # powers, and from 2^53 on n no longer converts exactly: the array pass
+    # is taken, and no kernel sum runs first.
+    def kernel(*args):
+        raise AssertionError("the kernel summed")
+
+    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", kernel)
+    for form in forms:
+        euler_product_eval(form, 2 + 1e6j, 1000)
+        with pytest.raises((MemoryError, ValueError)):
+            euler_product_eval(form, 2, 2**53)
+    assert calls == [2 + 1e6j, 2, 2 + 1e6j, 2]
+
+
+def test_builtin_products_return_wherever_the_array_pass_did():
+    # A seeded grid up to |Im s| = 10^5: every input returns a finite value
+    # that agrees with the array pass's within est_error.
+    rng = random.Random(2047)
+    for i in range(80):
+        kind, sign = rng.choice((("distinct", 1.0), ("not_one", -1.0)))
+        t = 0.0 if i % 4 == 0 else rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 5)
+        s = complex(rng.uniform(1.0001, 6), t)
+        n_max = int(10 ** rng.uniform(1, 6))
+        got = euler_product_eval(ProductForm(kind), s, n_max)
+        log_sum, _, in_window = numeric._array_log_sum(ProductForm(kind), s, sign, n_max)
+        density = in_window / (n_max - n_max // 2)
+        array = cmath.exp(sign * log_sum + density * n_max ** (1 - s) / (s - 1))
+        assert cmath.isfinite(got.value) and math.isfinite(got.est_error), (kind, s, n_max)
+        assert abs(got.value - array) <= got.est_error, (kind, s, n_max)
+
+
+def test_builtin_product_est_error_bounds_the_closed_forms():
+    # Around the head's end and far past it, up to N = 2^53 - 1.
+    closed = ((ProductForm.distinct_parts(), 2, math.sinh(math.pi) / math.pi),
+              (ProductForm.parts_not_one(), 2, 2.0),
+              (ProductForm.parts_not_one(), 3, 3 * math.pi / math.cosh(math.pi * math.sqrt(3) / 2)))
+    for form, s, want in closed:
+        for n_max in (2, 3, 63, 64, 65, 1000, 10**6, 10**14, 2**53 - 1):
+            got = euler_product_eval(form, s, n_max)
+            assert abs(got.value - want) <= got.est_error, (form.kind, s, n_max)
+
+
+def test_product_past_the_double_range_is_precision_loss():
+    # Near s = 1 the tail factor exp(N^(1-s) / (s-1)) passes the double
+    # range on either route.
+    for form in (ProductForm.distinct_parts(), ProductForm.subset_parts(lambda n: n % 2 == 0)):
+        with pytest.raises(PrecisionLoss):
+            euler_product_eval(form, 1.0001, 10**6)
 
 
 def test_product_complex_argument_stays_finite():
