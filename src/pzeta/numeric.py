@@ -151,8 +151,28 @@ _MAX_CORRECTIONS = 80
 #: costs about two terms and the planner's step about three; call times
 #: with weights 4 and 8 agree within noise, so the value is not critical.
 _CORRECTION_COST = 4
+#: A depth-1 cutoff this far past a - 1 may leave a walk long enough that
+#: _em_jump costs less; below it the walk has at most 8 more steps.
+_JUMP_GAIN = 32.0
 _LOG_4 = math.log(4.0)
-_LOG_4PI2 = 2 * math.log(2 * math.pi)
+_LOG_2PI = math.log(2 * math.pi)
+_LOG_4PI2 = 2 * _LOG_2PI
+_HALF_LOG_2PI = 0.5 * _LOG_2PI
+#: Stirling's coefficients B_2r / (2r (2r - 1)), r = 1..8.
+_STIRLING = tuple(float(bernoulli_numbers(16)[2 * r] / (2 * r * (2 * r - 1))) for r in range(1, 9))
+#: |z| from which the eight terms of _stirling_series are summed.
+_STIRLING_RADIUS = 15
+
+
+def _stirling_series(z: complex) -> complex:
+    """sum_{r<=8} c_r z^(1-2r), the series in
+    log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + series + R; for
+    Re z > 0 and |z| >= 15, |R| < 2^9 |B_18| / (18 17 15^17) < 1e-18
+    (DLMF 5.11(ii): sec^18(arg(z)/2) <= 2^9 times the first omitted term)."""
+    w = 1 / z
+    w2 = w * w
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING
+    return w * (c1 + w2 * (c2 + w2 * (c3 + w2 * (c4 + w2 * (c5 + w2 * (c6 + w2 * (c7 + w2 * c8)))))))
 
 
 def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
@@ -165,26 +185,117 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
 
     valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  Picks
     the cheapest pair whose bound meets 1e-16, at a cost of the powers n^-s
-    for a <= n <= N plus 4 per depth.  Depths are scanned upwards and the
-    scan stops once the cost starts rising.  Every caller has sigma >= 1/2,
-    so no Pochhammer factor vanishes."""
+    for a <= n <= N plus 4 per depth: the first depth M whose cost does not
+    fall at M + 1, found by walking the depths upwards.  The cost falls
+    strictly up to that depth and never again after it (checked against the
+    walk from depth 1 in the tests), so a walk resumed at any depth before
+    it, once it has seen the cost fall, ends on the same depth.
+
+    The walk stops as soon as the cutoff is within 4 of a - 1, since no
+    deeper depth can then cost less.  Where depth 1 leaves a long walk
+    ahead, _em_jump guesses the optimal depth in closed form and forms
+    log |(s)_2M| two depths before the guess by Stirling's series, and the
+    walk resumes there; the bound then carries that log's rounding, so it
+    is never below the bound from the exact sum of logs.  If the cost does
+    not fall at the first step after the jump, the guess may lie past the
+    optimum, and the walk is redone from depth 1.  Planning takes a few
+    steps at any depth.  Every caller has sigma >= 1/2, so no Pochhammer
+    factor vanishes."""
     sigma, t = s.real, s.imag
-    best, skipped = math.inf, float(a - 1)
-    log_poch = 0.0  # log |(s)_2M|
-    for m in range(1, _MAX_CORRECTIONS + 1):
-        e = sigma + (2 * m - 1)
-        # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
-        log_poch += math.log(math.hypot(e - 1, t)) + math.log(math.hypot(e, t))
-        log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - math.log(e)
-        n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
-        cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
-        if cost >= best:
+    log, hypot, exp = math.log, math.hypot, math.exp
+    skipped = float(a - 1)
+    for may_jump in (True, False):
+        best, log_poch, m, base, err = math.inf, 0.0, 0, 0, 0.0
+        while m < _MAX_CORRECTIONS:
+            m += 1
+            e = sigma + (2 * m - 1)
+            # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
+            log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
+            log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - log(e)
+            x = (log_c - _LOG_EM_TARGET) / e
+            n = exp(x if x < 700.0 else 700.0)
+            cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
+            if cost >= best:
+                break
+            best, pick = cost, (m, log_c, e, n)
+            # cost(M + 1) >= skipped + 4 (M + 1), in floating point too.
+            if cost <= skipped + _CORRECTION_COST * (m + 1):
+                break
+            # Since cost(M) >= skipped + 4 M, a walk from depth 1 takes at
+            # most (n(1) - skipped) / 4 more steps.
+            if (m == 1 and may_jump and n - skipped > _JUMP_GAIN
+                    and (e + 1) * (e + 1) + t * t >= _STIRLING_RADIUS**2):
+                jump = _em_jump(s, skipped, log_poch)
+                if jump is not None:
+                    base, log_poch, err = jump
+                    m, best = base, math.inf
+        if not base or pick[0] > base + 1:
             break
-        best, pick = cost, (m, log_c, e, n)
+        # The guess may lie past the optimum: walk again without it.
     m, log_c, e, n = pick
+    if base:
+        # Each step from the jump on adds a pair of logs, erring by at most
+        # 2 pair + 6 (both logs, their arguments and their sum) plus P for
+        # the running sum.
+        err += (m - base) * (log_poch + 4 * log(hypot(e + 1, t)) + 6)
     n = max(2, a, math.ceil(n))
-    log_bound = log_c - e * math.log(n)
+    log_bound = log_c + _U * err - e * math.log(n)
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def _em_jump(s: complex, skipped: float, log_poch: float):
+    """Where _em_plan's walk, at depth 1 with log |(s)_2| = log_poch, should
+    resume: (a depth two before the guessed optimum, log |(s)_2M| there, a
+    bound on its rounding in units of u), or None where the guess is under
+    4 depths.  Needs |s + 2| >= 15."""
+    sigma, t = s.real, s.imag
+    log, hypot = math.log, math.hypot
+    # The guess.  Where |t| dominates, |s + j| ~ |s + m0| = 2 pi K over the
+    # depths that matter (m0 = 0.7 sqrt |t| is about the optimal M), so
+    # log n(M) ~ log K + B / e with e = sigma + 2M - 1 and
+    # B = log 4 - log 1e-16 - (sigma - 1) log K - log e.  The continuous
+    # optimum of n + 4M has n log(n / K) = 2e, that is v^2 e^v = 2B / K for
+    # v = B / e: v = 2 W(sqrt(B / 2K)), Lambert's W in Winitzki's form
+    # (within 2%), with log e ~ (log K + log 17.5) / 2 from the leading
+    # order e ~ sqrt(B K / 2), B ~ 35.  Where the cutoff reaches a - 1
+    # first, the guess is the depth where log n = log (a - 1).  The walk
+    # resumed two depths before the guess takes up its error.
+    lk = log(hypot(sigma + 0.7 * math.sqrt(abs(t)), t)) - _LOG_2PI
+    b = _LOG_4 - _LOG_EM_TARGET - (sigma - 0.5) * lk - 1.43
+    if b <= 0:
+        return None
+    w = math.log1p(math.sqrt(0.5 * b * math.exp(-lk)))
+    e = 0.5 * b / (w * (1 - math.log1p(w) / (2 + w)))
+    if skipped > 1 and b < e * (log(skipped) - lk):
+        e = b / (log(skipped) - lk)
+    m = min(int((e - sigma + 1) / 2), _MAX_CORRECTIONS) - 2
+    if m < 2:
+        return None
+    # log |(s)_2M| = log |(s)_2| + Re log Gamma(z1) - Re log Gamma(z0) with
+    # z0 = s + 2, z1 = z0 + h, h = 2M - 2.  By Stirling's series at
+    # |z0| >= 15, with h / z0 = w and log(1 + w) = A + iB, the difference is
+    # T3 + T2 + T1 + dS: T3 = (x0 - 1/2) A, T2 = -t B, T1 = h (log |z1| - 1)
+    # and dS = Re(S(z1) - S(z0)), formed without cancellation: T1, T2, T3 >= 0,
+    # |dS| < 0.012, and each S leaves out less than 1e-18.
+    # Rounding, in units of u (each operation, libm's too, erring by at most
+    # u): the complex division errs by at most 6 in each part of w, so
+    # wr (2 + wr) + wi^2 by 14, A by 15, B by 14, T3 by 17 and T2 by 15.
+    # log |z1| errs by 2 + log |z1| absolutely (x1 and hypot, then the log),
+    # log |z1| - 1 is exact and the product rounds once, so T1 errs by at
+    # most h (2 log |z1| + 1).  Adding the parts errs by
+    # 3 (T1 + T2 + T3 + 0.012), dS by under 3e-17.  Rounding x0 = sigma + 2
+    # moves the difference by at most u x0 (A + 0.14), under u (T3 + 2 + x0).
+    # log |(s)_2| errs by at most 3 log |(s)_2| (log |s| > 2.5 here), and
+    # adding it by the sum P.
+    h = 2 * m - 2
+    x0 = sigma + 2
+    w = h / complex(x0, t)
+    t3 = (x0 - 0.5) * (0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag))
+    t2 = -t * math.atan2(w.imag, 1 + w.real)
+    log_z1 = log(hypot(x0 + h, t))
+    ds = (_stirling_series(complex(x0 + h, t)) - _stirling_series(complex(x0, t))).real
+    p = log_poch + (t3 + t2 + h * (log_z1 - 1) + ds)
+    return m, p, 3 * log_poch + p + 21 * t3 + 18 * t2 + h * (5 * log_z1 - 2) + x0 + 3
 
 
 def _em_partial_rounding(s: complex, a: int, n_cut: int) -> float:
@@ -261,26 +372,14 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None)
     return EvalResult(value, bound + rounding, n_cut - a + 1 + depth)
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
-#: Stirling's coefficients B_2r / (2r (2r - 1)), r = 1..8.
-_STIRLING = tuple(float(bernoulli_numbers(16)[2 * r] / (2 * r * (2 * r - 1))) for r in range(1, 9))
-
-
 def _gamma(z: complex) -> complex:
-    """Gamma(z) for Re(z) >= 1/2.  Shifted to |z| >= 15, log Gamma(z) is
-    (z - 1/2) log z - z + log(2 pi)/2 + sum_{r<=8} c_r z^(1-2r) + R, with
-    |R| at most sec^18(arg(z)/2) <= 2^9 times the first omitted term
-    (DLMF 5.11(ii)): |R| < 2^9 |B_18| / (18 17 15^17) < 1e-18."""
+    """Gamma(z) for Re(z) >= 1/2, by Stirling's series (_stirling_series)
+    after shifting to |z| >= 15."""
     p = 1.0  # Gamma(z) = Gamma(z + m) / (z (z + 1) ... (z + m - 1))
-    while abs(z) < 15:
+    while abs(z) < _STIRLING_RADIUS:
         p *= z
         z += 1
-    w = 1 / z
-    w2 = w * w
-    acc = 0j
-    for c in reversed(_STIRLING):
-        acc = acc * w2 + c
-    series = acc * w
+    series = _stirling_series(z)
     x, y, log_z = z.real, z.imag, cmath.log(z)
     # Each part as large as |z| log |z| is rounded once before the last sum.
     re = ((x - 0.5) * log_z.real - (x - _HALF_LOG_2PI - series.real)) - y * log_z.imag
@@ -336,10 +435,15 @@ def riemann_zeta(s: complex) -> EvalResult:
     PRECISION_LOSS_THRESHOLD raises PrecisionLoss: on the critical line
     from about |Im s| = 3 10^4, and before any term is summed once the
     partial sum's share of the rounding bound alone passes it.  Non-finite
-    s raises DomainError.
+    s, or an s whose |s - 1| passes the double range, raises DomainError.
     """
     s = _finite_arg(s)
-    if abs(s - 1) < POLE_EXCLUSION_RADIUS:
+    # |s - 1| as abs() forms it, which raises a raw OverflowError where that
+    # passes the double range.
+    distance = math.hypot(s.real - 1, s.imag)
+    if distance == math.inf:
+        raise DomainError(f"|s - 1| passes the double range at s = {s}")
+    if distance < POLE_EXCLUSION_RADIUS:
         raise PoleAt1(f"s = {s} lies within {POLE_EXCLUSION_RADIUS} of the pole at s = 1")
     if s.real >= 0.5:
         return _trusted(_zeta_euler_maclaurin(s))
@@ -362,13 +466,17 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
 
     k = 0 returns exactly 1.  Rejects s within POLE_EXCLUSION_RADIUS of any
     pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j,
-    and a finite s whose multiple j s overflows with DomainError naming j.
+    and a finite s whose multiple j s, or its distance to 1, overflows with
+    DomainError.
     """
     s = _finite_arg(s)
     if k < 0:
         raise ValueError("k must be >= 0")
+    x, y = s.real, s.imag
     for j in range(1, k + 1):
-        if abs(s - 1 / j) < POLE_EXCLUSION_RADIUS:
+        # |s - 1/j| without abs()'s OverflowError; riemann_zeta refuses an
+        # s past the double range.
+        if math.hypot(x - 1 / j, y) < POLE_EXCLUSION_RADIUS:
             raise PoleProximity(j)
         if not cmath.isfinite(j * s):
             raise DomainError(f"j s overflows at j = {j}, s = {s}")

@@ -7,8 +7,9 @@ lists the bounded fixed-length partitions that the truncated direct sum and
 the restricted generating function fold.  subset_euler_product multiplies
 out a restricted Euler product over parts listed as Python ints,
 exp_partition_sums_fraction sums the exponential's partition side one
-reduced Fraction product per partition, and poly_mul multiplies integer
-polynomials by schoolbook convolution.
+reduced Fraction product per partition, poly_mul multiplies integer
+polynomials by schoolbook convolution, and em_plan_walk plans the
+Euler-Maclaurin kernel by walking every correction depth up from 1.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+from pzeta.numeric import _CORRECTION_COST, _LOG_4, _LOG_4PI2, _LOG_EM_TARGET, _MAX_CORRECTIONS
 from pzeta.partitions import enumerate_partitions_of_size
 
 
@@ -107,3 +109,26 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def one_minus_q_power(j: int) -> list[int]:
     """Coefficients of the polynomial 1 - q^j, j >= 1."""
     return [1] + [0] * (j - 1) + [-1]
+
+
+def em_plan_walk(s: complex, a: int = 1) -> tuple[int, int, float]:
+    """numeric._em_plan as it was before it learned to jump: (N, M, bound)
+    by walking the depths up from M = 1, one log |s + j| pair per depth,
+    until the cost N + 4M (N floored at a - 1) stops falling."""
+    sigma, t = s.real, s.imag
+    best, skipped = math.inf, float(a - 1)
+    log_poch = 0.0  # log |(s)_2M|
+    for m in range(1, _MAX_CORRECTIONS + 1):
+        e = sigma + (2 * m - 1)
+        # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
+        log_poch += math.log(math.hypot(e - 1, t)) + math.log(math.hypot(e, t))
+        log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - math.log(e)
+        n = math.exp(min((log_c - _LOG_EM_TARGET) / e, 700.0))
+        cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
+        if cost >= best:
+            break
+        best, pick = cost, (m, log_c, e, n)
+    m, log_c, e, n = pick
+    n = max(2, a, math.ceil(n))
+    log_bound = log_c - e * math.log(n)
+    return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf

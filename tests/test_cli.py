@@ -243,6 +243,13 @@ def test_overflowing_multiple_of_s_reports_domain_error(capsys):
     assert doc == {"detail": "j s overflows at j = 2, s = (1e+308+0j)", "error": "DomainError"}
 
 
+def test_s_past_the_double_range_reports_domain_error(capsys):
+    code, out = run_cli(capsys, "eval", "--s=1.7e308+1.7e308i", "--k", "1")
+    assert code == 1
+    assert json.loads(out) == {"detail": "|s - 1| passes the double range at s = (1.7e+308+1.7e+308j)",
+                               "error": "DomainError"}
+
+
 def test_value_error_reports_exit_1(capsys):
     code, out = run_cli(capsys, "exact", "--m", "0", "--k", "2")
     doc = json.loads(out)

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import enumerate_partitions_fixed_length, subset_euler_product
+from oracles import em_plan_walk, enumerate_partitions_fixed_length, subset_euler_product
 from pzeta import numeric
 from pzeta.errors import (
     DivergenceRegion,
@@ -179,6 +179,18 @@ def test_zeta_reflection_overflow_is_typed():
         partition_zeta_family(-0.5 + 120j, 4)
 
 
+def test_s_past_the_double_range_is_a_domain_error():
+    # |s - 1| overflows although s is finite: a DomainError, not abs()'s
+    # raw OverflowError.
+    for s in (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j):
+        with pytest.raises(DomainError, match="double range"):
+            riemann_zeta(s)
+        with pytest.raises(DomainError, match="double range"):
+            partition_zeta_family(s, 1)
+        with pytest.raises(DomainError, match="j = 2"):
+            partition_zeta_family(s, 3)
+
+
 def test_non_finite_argument_is_a_domain_error():
     for s in (float("nan"), complex(float("inf"), 0), complex(1, float("nan"))):
         with pytest.raises(DomainError):
@@ -232,16 +244,59 @@ def test_zeta_cutoff_follows_height_and_real_part():
     assert riemann_zeta(120 + 400j).terms_used < 10
 
 
+# Planner inputs by depth: 1 (stopped early), 2, 4 (the shallowest plan the
+# jump reaches), 8 and 9 on either side of |s + 2| = 15, from where the
+# jump may run, 80 (forced), and far right.
+PLAN_DEPTHS = ((40, 1), (12 + 3j, 2), (8 + 20j, 4), (3 + 14j, 8), (0.5 + 14.8j, 9),
+               (0.5 + 1e4j, 80), (1e300, 1), (1e300 + 5j, 1))
+
+
 def test_zeta_plan_meets_its_remainder_bound():
-    for s in (2, 0.5 + 14j, 0.7 + 300j, 0.5 + 1e4j, 30 + 1e3j, -0.5 + 3j):
+    for s in (2, 0.5 + 14j, 0.7 + 300j, 0.5 + 1e4j, 30 + 1e3j, -0.5 + 3j, *(s for s, _ in PLAN_DEPTHS)):
         s = complex(s)
         n, m, bound = _em_plan(s)
         e = s.real + 2 * m - 1
         log_want = (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
                     - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
-        assert math.log(bound) == pytest.approx(log_want, abs=1e-9), s
+        if bound == 0:  # far right, N^(1 - sigma - 2M) underflows
+            assert log_want < -745, s
+        else:
+            assert math.log(bound) == pytest.approx(log_want, abs=1e-9), s
         assert bound <= 1e-16, s
         assert _zeta_euler_maclaurin(s).est_error >= bound
+
+
+def test_plan_is_the_walks_plan(monkeypatch):
+    # _em_plan against em_plan_walk, the walk up from depth 1 it replaces.
+    # (N, M) agree.  Where no jump ran the bound agrees bit for bit.  Where
+    # one ran, its log |(s)_2M| carries a rounding margin: the bound is at
+    # or above the one formed from the fsum of the logs, and its log is
+    # within 64 u times the log-sum of the walk's (whose own running sum of
+    # up to 160 logs errs by that order), or within 1e-12 where that is
+    # wider.
+    outcomes = []
+    jump = numeric._em_jump
+    monkeypatch.setattr(numeric, "_em_jump", lambda *args: outcomes.append(jump(*args)) or outcomes[-1])
+    rng = random.Random(2051)
+    jumped = 0
+    for _ in range(1000):
+        s = complex(rng.uniform(0.5, 40), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5))
+        for a in (1, 2, 65, 10**6 + 1):
+            outcomes.clear()
+            n, m, bound = _em_plan(s, a)
+            want = em_plan_walk(s, a)
+            assert (n, m) == want[:2], (s, a)
+            if not any(outcomes):
+                assert bound == want[2], (s, a)
+                continue
+            jumped += 1
+            log_sum = math.fsum(math.log(abs(s + j)) for j in range(2 * m))
+            e = s.real + 2 * m - 1
+            log_ref = math.fsum([math.log(4), log_sum, -2 * m * math.log(2 * math.pi),
+                                 -math.log(e), -e * math.log(n)])
+            assert math.log(bound) >= log_ref, (s, a)
+            assert abs(math.log(bound / want[2])) <= max(1e-12, 64 * _U * log_sum), (s, a)
+    assert jumped > 150
 
 
 def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
@@ -264,13 +319,14 @@ def test_zeta_refuses_on_the_partial_sums_rounding_before_summing():
 def test_zeta_forced_deep_corrections_stay_finite():
     # At t = 10^4 the planner is forced to its deepest depth, 80.  The
     # running Pochhammer term is rescaled by N^-2 each step, so it neither
-    # overflows nor loses the value; the mpmath test checks the value.
-    s = 0.5 + 1e4j
-    n, m, _ = _em_plan(s)
-    assert m == 80
-    got = riemann_zeta(s)
-    assert got.terms_used == n + m
-    assert cmath.isfinite(got.value) and got.est_error < 1e-8
+    # overflows nor loses the value; the mpmath test checks the value.  The
+    # other depths of PLAN_DEPTHS sum as planned too.
+    for s, depth in PLAN_DEPTHS:
+        n, m, _ = _em_plan(complex(s))
+        assert m == depth, s
+        got = riemann_zeta(s)
+        assert got.terms_used == n + m, s
+        assert cmath.isfinite(got.value) and got.est_error < 1e-8, s
 
 
 def test_zeta_far_right_is_one():
@@ -366,7 +422,9 @@ def test_shifted_kernel_cutoff_starts_at_the_shift():
         return (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
                 - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
 
-    for s in (2 + 0j, 1.1 + 0j, 3 + 50j):
+    # Depths 1, 2, 6 and 8 (jumps that resume the walk at depths 4 and 5),
+    # 80, and far right.
+    for s in (2 + 0j, 1.1 + 0j, 3 + 50j, 0.6 + 2e5j, 0.6 + 4e5j, 0.6 + 4.925e6j, 1e300 + 0j):
         n, m, bound = _em_plan(s, 10**6 + 1)
         assert n == 10**6 + 1 and bound <= 1e-16
         assert m == min(k for k in range(1, 81) if log_bound(s, k, n) <= math.log(1e-16))
