@@ -9,25 +9,25 @@ Hurwitz values zeta(js, a) for the tails of the built-in Euler products.
 
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error bound (heuristic only for the Euler
-products' tail; euler_product_eval describes its two routes).
-For zeta it is the Euler-Maclaurin remainder bound plus a derived
-rounding bound (on the reflected branch, with Gamma by Stirling's series
-and a proven remainder); zeta results whose bound exceeds
+products' tail).  For zeta it is the Euler-Maclaurin remainder bound plus
+a derived rounding bound (on the reflected branch, with Gamma by Stirling's
+series and a proven remainder); zeta results whose bound exceeds
 PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
 with the untrusted value attached when one was computed (a bound whose
 rounding share alone is too large refuses before summing).  A direct
 sum refuses the same way, with its value attached, once the phase share
 of its rounding bound alone passes the threshold; the generating-function
-coefficients refuse on that share before summing.  Non-finite s
-raises DomainError on every public entry, and so does an s for which
-s log n overflows in the routines that form n^-s up to a caller's cutoff.
+coefficients and the Euler products refuse on that share before summing.
+Non-finite s raises DomainError on every public entry, and so does an s
+for which s log n overflows in the routines that form n^-s up to a
+caller's cutoff.
 
 numpy is imported only inside _bounded_part_sums (the kernel of
 restricted_genfun_coeffs and direct_sum_truncated),
-truncation_error_estimate, _array_log_sum (euler_product_eval's array pass,
-run for every subset form and for a built-in form only where it is planned
-cheaper) and ProductForm.subset_parts, so importing the package, the zeta,
-F_k and pole-order paths and the built-in Euler products never load it.
+truncation_error_estimate and _subset_parts and _array_log_sum (a subset
+form's parts and their one array pass), so importing the package, the
+zeta, F_k and pole-order paths and the built-in Euler products, distinct
+and not_one, never load it.
 """
 
 from __future__ import annotations
@@ -313,12 +313,13 @@ def _em_partial_rounding(s: complex, a: int, n_cut: int) -> float:
     # at most u ((21 + N - a) Z + 2 |t| (log N Z1 + log a a^-sigma)).  At
     # a = 1 the n = 1 term 1 ** -s is exactly 1 + 0j and log a = 0, so the
     # phase share falls on Z1 alone.  Far right N = 2 and Z1 is about
-    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma.
+    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma;
+    # |t| multiplies last, so it overflows only where the share is infinite.
     sigma, head = s.real, a ** -s.real
     log_ratio = math.log(n_cut / a)
     x = (1 - sigma) * log_ratio
     z1 = a * head * math.expm1(min(x, 700.0)) / (1 - sigma) if x else log_ratio
-    return (21 + n_cut - a) * (head + z1) + 2 * abs(s.imag) * (math.log(n_cut) * z1 + math.log(a) * head)
+    return (21 + n_cut - a) * (head + z1) + abs(s.imag) * (2 * (math.log(n_cut) * z1 + math.log(a) * head))
 
 
 def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None) -> EvalResult:
@@ -329,20 +330,12 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None)
     # result by a factor of modulus ``scale``.
     n_cut, depth, bound = plan or _em_plan(s, a)
     # Rounding, in units of u: the partial sum's share from
-    # _em_partial_rounding, formed inline at a = 1 (zeta's path), where it
-    # is (20 + N)(1 + Z1) + 2 |t| log N Z1, Z1 = (N^(1-sigma) - 1) / (1 - sigma).
-    # The integral and half-term carry the error of N^-s (2 |t| log N + 20)
-    # plus a few roundings; correction r adds at most 9r more in w and its
-    # Bernoulli factor, and summing M corrections M more.
-    sigma = s.real
-    log_n = math.log(n_cut)
-    phase = 2 * abs(s.imag) * log_n
-    if a == 1:
-        q = (1 - sigma) * log_n
-        z1 = math.expm1(min(q, 700.0)) / (1 - sigma) if q else log_n
-        summed = (20 + n_cut) * (1 + z1) + phase * z1
-    else:
-        summed = _em_partial_rounding(s, a, n_cut)
+    # _em_partial_rounding.  The integral and half-term carry the error of
+    # N^-s (2 |t| log N + 20) plus a few roundings; correction r adds at
+    # most 9r more in w and its Bernoulli factor, and summing M corrections
+    # M more.
+    phase = abs(s.imag) * (2 * math.log(n_cut))
+    summed = _em_partial_rounding(s, a, n_cut)
     if scale * (_U * summed) > PRECISION_LOSS_THRESHOLD:
         # The partial sum's share of the rounding bound alone is too large:
         # refuse before summing.
@@ -641,9 +634,7 @@ class ProductForm(namedtuple("ProductForm", "kind admits", defaults=(None,))):
 
     @classmethod
     def subset_parts(cls, admits: Callable) -> "ProductForm":
-        import numpy as np
-
-        if _subset_mask(admits, np.arange(1, 3, dtype=np.int64))[0]:
+        if 1 in _subset_parts(admits, 2):
             raise InvalidForm("part 1 must not be admitted: its factor 1/(1-1^-s) diverges")
         return cls("subset", admits)
 
@@ -656,32 +647,55 @@ class ProductForm(namedtuple("ProductForm", "kind admits", defaults=(None,))):
         return cls("distinct")
 
 
-def _subset_mask(admits: Callable, n):
-    # The predicate's mask over n, as booleans.  A predicate written for one
-    # int at a time raises TypeError or ValueError on n, or returns a scalar.
+def _subset_parts(admits: Callable, max_factor: int):
+    # The parts n <= max_factor the predicate's mask over n = 1..max_factor
+    # admits, as float64.  A predicate written for one int at a time raises
+    # TypeError or ValueError on n, or returns a scalar.
     import numpy as np
 
+    n = np.arange(1, max_factor + 1, dtype=np.int64)
     try:
         mask = np.asarray(admits(n)).astype(bool, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidForm(f"the subset predicate must map int64 parts to a mask: {exc}") from None
     if mask.shape != n.shape:
         raise InvalidForm(f"the subset predicate gave shape {mask.shape} for {n.shape} parts")
-    return mask
+    # The float64 parts in one allocation, made once the mask is freed:
+    # at 10^6 parts that keeps the peak RSS 4 MB lower.
+    parts = np.flatnonzero(mask)
+    del mask
+    return parts + 1.0
 
 
-#: Parts of a built-in product whose factors are taken one at a time ahead
-#: of its tail.
+def _phase_rounding(s: complex, top: int) -> float:
+    """Bound on how far rounding the phases Im(s) log n moves the sum of
+    log(1 -+ n^-s) over any parts 2 <= n <= top: 0 at real s, and
+    PrecisionLoss where it passes PRECISION_LOSS_THRESHOLD."""
+    # x = -+n^-s errs by (2 |t| log n + 20) u relative, as in zeta's
+    # rounding bound, and |1 + x| >= 1/2 from n = 2 on, so the phases move
+    # log(1 + x) by at most 4 |t| u log n n^-sigma and the sum by at most
+    # 4 |t| u log top Z1, Z1 = int_1^top x^-sigma; the rest is within the
+    # 1e-13 allowed for rounding.  |t| multiplies 4 u first, so the share
+    # is 0 at top = 1 however large |t| is.
+    sigma, log_top = s.real, math.log(top)
+    share = 4 * _U * abs(s.imag) * log_top * -math.expm1((1 - sigma) * log_top) / (sigma - 1)
+    if share > PRECISION_LOSS_THRESHOLD:
+        raise PrecisionLoss(_PHASE_LOSS.format(top, s))
+    return share
+
+
+#: Parts of a built-in product whose factors are always taken one at a
+#: time, ahead of its tail.
 _HEAD = 64
 
 
-def _hurwitz_log_sum(s: complex, lo: int, sign: float, max_factor: int):
-    """(sum_{lo<=n<=N} log(1 + sign n^-s), a bound on its error beyond 1e-13)
-    for N = max_factor, as the head n <= _HEAD factor by factor plus the
-    tail through the shifted zeta kernel; None, before anything is summed,
-    where the planned cost is at least the array pass's N powers, where the
-    kernel's rounding share would pass PRECISION_LOSS_THRESHOLD, or from
-    N = 2^53 on, where n no longer converts to a double exactly."""
+def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
+    """(sum_{lo<=n<=N} log(1 + sign n^-s), a bound on its error beyond
+    1e-13) for N = max_factor, factor by factor up to K: K = _HEAD where
+    the tail through the shifted zeta kernel is planned to cost less than
+    the N - _HEAD factors it replaces, with its rounding share within
+    PRECISION_LOSS_THRESHOLD, else K = N.  Refuses before summing where
+    _phase_rounding(s, K) does."""
     # For |y| < 1, log(1 + y) = -sum_j (-y)^j / j, so the tail K < n <= N,
     # y = sign n^-s, is -sum_j (-sign)^j / j P_j with
     # P_j = zeta(js, K+1) - zeta(js, N+1) = sum_{K<n<=N} n^-js.  With
@@ -689,11 +703,9 @@ def _hurwitz_log_sum(s: complex, lo: int, sign: float, max_factor: int):
     # b_(j+1) < b_j / 65, the terms from the first j with b_j / j <= u on
     # sum to under 2 b_j / j: an error of u in the log is one of u relative
     # in the product, far below the 1e-13 allowed for rounding.
-    if max_factor >= 2**53:
-        return None
     top = min(max_factor, _HEAD)
     cost, share, tail, j = top, 0.0, [], 1
-    while max_factor > _HEAD:
+    while max_factor > top:
         js = j * s.real
         b = (_HEAD + 1) ** -js * (1 + (_HEAD + 1) / (js - 1))
         if b <= j * _U:
@@ -702,30 +714,23 @@ def _hurwitz_log_sum(s: complex, lo: int, sign: float, max_factor: int):
         for a in (_HEAD + 1, max_factor + 1):
             plan = _em_plan(z, a)
             cost += plan[0] - a + 1 + _CORRECTION_COST * plan[1]
-            if cost >= max_factor:
-                return None
             share += _em_partial_rounding(z, a, plan[0]) / j
             plans.append((a, plan))
-        if _U * share > PRECISION_LOSS_THRESHOLD:
-            return None
-        tail.append((j, z, plans))
-        j += 1
-    err = 2 * b / j if max_factor > _HEAD else 0.0
+        if cost >= max_factor or _U * share > PRECISION_LOSS_THRESHOLD:
+            top, tail = max_factor, []
+        else:
+            tail.append((j, z, plans))
+            j += 1
+    err = 2 * b / j if max_factor > top else 0.0
+    err += _phase_rounding(s, top)
     sigma, t = s.real, s.imag
     if t:
-        # log |1 + x| and arg(1 + x) as in the array pass.  x = sign n^-s
-        # errs by (2 |t| log n + 20) u relative, and |1 + x| >= 1/2 from
-        # n = 2 on, so the phase share moves the head by at most
-        # 4 |t| u log K sum_{2<=n<=K} n^-sigma <= 4 |t| u log K Z1; the rest
-        # is within the 1e-13.
         re = im = 0.0
         for n in range(lo, top + 1):
             x = sign * n ** -s
             re += math.log1p(x.real * (2 + x.real) + x.imag * x.imag)
             im += math.atan2(x.imag, 1 + x.real)
         log_sum = complex(0.5 * re, im)
-        log_top = math.log(top)
-        err += 4 * abs(t) * _U * log_top * -math.expm1((1 - sigma) * log_top) / (sigma - 1)
     else:
         log_sum = 0.0
         for n in range(lo, top + 1):
@@ -738,29 +743,19 @@ def _hurwitz_log_sum(s: complex, lo: int, sign: float, max_factor: int):
     return log_sum, err
 
 
-def _array_log_sum(form: ProductForm, s: complex, sign: float, max_factor: int):
-    """(sum log(1 + sign n^-s) over the admitted n <= max_factor, the number
-    of those parts, the number of them above max_factor // 2) by one numpy
-    pass over the parts as float64."""
+def _array_log_sum(s: complex, sign: float, parts):
+    """sum log(1 + sign n^-s) over the float64 array of parts n, in one
+    numpy pass that overwrites the array at real s."""
     import numpy as np
 
-    if form.kind == "subset":
-        n = np.arange(1, max_factor + 1, dtype=np.int64)
-        parts = (np.flatnonzero(_subset_mask(form.admits, n)) + 1).astype(np.float64)
-    else:
-        parts = np.arange(1 if form.kind == "distinct" else 2, max_factor + 1, dtype=np.float64)
-    count = len(parts)
-    in_window = count - int(np.searchsorted(parts, max_factor // 2 + 1))
     if s.imag == 0:
         x = np.power(parts, -s.real, out=parts)
         x *= sign
-        log_sum = float(np.sum(np.log1p(x, out=x)))
-    else:
-        mod, phase = sign * parts ** -s.real, s.imag * np.log(parts)
-        re, im = mod * np.cos(phase), -mod * np.sin(phase)
-        log_sum = complex(0.5 * float(np.sum(np.log1p(re * (2 + re) + im * im))),
-                          float(np.sum(np.arctan2(im, 1 + re))))
-    return log_sum, count, in_window
+        return float(np.sum(np.log1p(x, out=x)))
+    mod, phase = sign * parts ** -s.real, s.imag * np.log(parts)
+    re, im = mod * np.cos(phase), -mod * np.sin(phase)
+    return complex(0.5 * float(np.sum(np.log1p(re * (2 + re) + im * im))),
+                   float(np.sum(np.arctan2(im, 1 + re))))
 
 
 def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalResult:
@@ -768,50 +763,53 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
 
     With sign = +1 for distinct parts and -1 otherwise, the log of the
     product is sign * sum log(1 + x), x = sign * n^-s, over the admitted
-    parts n <= N = max_factor, summed by one of two routes.
-
-    The built-in forms take every n from 1 (distinct) or 2 (not_one).  Their
-    head n <= 64 is summed factor by factor in pure Python and their tail
-    64 < n <= N as -sum_j (-sign)^j / j [zeta(js, 65) - zeta(js, N+1)] from
-    the shifted Euler-Maclaurin kernel, j up to the first whose bound is
-    below u.  The terms are planned before anything is summed, and the
-    route is taken where the planned powers and corrections cost less than
-    the array pass's N powers and the kernel's rounding share stays within
-    PRECISION_LOSS_THRESHOLD; numpy is then never imported.
-
-    Otherwise, and always for a subset form, one numpy pass runs over the
-    admitted parts, built as float64 (for a subset form, from the mask of
-    one predicate call on n = 1..max_factor).  Real s takes one np.log1p, in
-    place on the parts array; complex s takes
+    parts n <= N = max_factor; at complex s each log is formed as
     log|1 + x| = log1p(re (2 + re) + im^2) / 2 and
     arg(1 + x) = atan2(im, 1 + re), both accurate at every |x|.
 
+    The built-in forms take every n from 1 (distinct) or 2 (not_one) and
+    never import numpy: their factors are summed one by one in pure Python
+    up to n = 64, and their tail 64 < n <= N as
+    -sum_j (-sign)^j / j [zeta(js, 65) - zeta(js, N+1)] from the shifted
+    Euler-Maclaurin kernel, j up to the first whose bound is below u; or,
+    where the kernel is planned to cost more than the N - 64 factors or its
+    rounding share passes PRECISION_LOSS_THRESHOLD, one by one up to N.
+
+    A subset form's parts are those admitted by the mask of one predicate
+    call on n = 1..max_factor, summed by one numpy pass over them as
+    float64 (at real s, one np.log1p in place on the parts array).
+
     The tail correction is the admitted density over the top W = max_factor -
-    max_factor // 2 parts times max_factor^(1-s)/(s-1).  Requires Re(s) > 1;
-    a predicate whose result is not a mask of n's shape raises InvalidForm.
+    max_factor // 2 parts times max_factor^(1-s)/(s-1).  Requires Re(s) > 1
+    and 1 <= max_factor < 2^53, from where n no longer converts to a double
+    exactly (ValueError); a predicate whose result is not a mask of n's
+    shape raises InvalidForm; where the phases' rounding share below passes
+    PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised before summing.
 
     est_error (heuristic for an arbitrary predicate) is |value| times the
     next-order tail terms, the density's uncertainty 1/W times the tail
-    integral, and 1e-13 for rounding, plus on the first route the kernel's
-    own bounds over j, the omitted j, and the head's phase rounding.  The
-    value is real at real s.
+    integral, and 1e-13 for rounding plus the phases' share
+    4 |Im s| u log K int_1^K x^-sigma dx, K the last part summed one by one
+    (N for a subset), and on the kernel route the kernel's own bounds over
+    j and the omitted j.  The value is real at real s.
     """
-    s = _convergent_arg(s, max_factor, max_factor >= 1, "max_factor must be >= 1")
-    if form.kind not in ("subset", "distinct", "not_one"):
-        raise ValueError(f"unknown product form kind {form.kind!r}")
+    s = _convergent_arg(s, max_factor, 1 <= max_factor < 2**53,
+                        "max_factor must be >= 1 and below 2^53")
     sigma = s.real
     sign = 1.0 if form.kind == "distinct" else -1.0
-    window = max_factor - max_factor // 2
-    route = None
-    if form.kind != "subset":
+    if form.kind == "subset":
+        err = _phase_rounding(s, max_factor)
+        parts = _subset_parts(form.admits, max_factor)
+        count = len(parts)
+        in_window = count - int(parts.searchsorted(max_factor // 2 + 1))
+        log_sum = _array_log_sum(s, sign, parts)
+    elif form.kind in ("distinct", "not_one"):
         lo = 1 if form.kind == "distinct" else 2
         count, in_window = max_factor - lo + 1, max_factor - max(max_factor // 2, lo - 1)
-        route = _hurwitz_log_sum(s, lo, sign, max_factor)
-    if route is None:
-        log_sum, count, in_window = _array_log_sum(form, s, sign, max_factor)
-        err = 0.0
+        log_sum, err = _builtin_log_sum(s, lo, sign, max_factor)
     else:
-        log_sum, err = route
+        raise ValueError(f"unknown product form kind {form.kind!r}")
+    window = max_factor - max_factor // 2
     density = in_window / window
     try:
         value = cmath.exp(sign * log_sum + density * max_factor ** (1 - s) / (s - 1))

@@ -130,7 +130,8 @@ def test_eval_matches_library(capsys):
 
 
 def test_eval_far_right_is_one(capsys):
-    for argv in (("--s", "1e300", "--k", "3"), ("--s=1e200+1e200i", "--k", "1")):
+    for argv in (("--s", "1e300", "--k", "3"), ("--s=1e200+1e200i", "--k", "1"),
+                 ("--s=1e308+1e308i", "--k", "1")):
         code, out = run_cli(capsys, "eval", *argv)
         assert code == 0, out
         assert json.loads(out)["value"] == {"re": 1.0, "im": 0.0}
@@ -380,13 +381,13 @@ def test_python_dash_m_invocation():
 
 # --- numpy and dataclasses stay off the import path -------------------------------------
 # Only the bounded-part kernel (restricted_genfun_coeffs, direct_sum_truncated),
-# truncation_error_estimate, euler_product_eval's array pass and
-# ProductForm.subset_parts import numpy, so only the oracle and genfun
-# subcommands and the even and subset forms of euler-product load it.  The
-# distinct and not-one forms sum their tail through the zeta kernel and stay
-# numpy-free unless the array pass is planned cheaper (far up the imaginary
-# axis).  The records are namedtuples, so nothing loads dataclasses.  Each
-# check runs in a fresh interpreter, where nothing else has imported either.
+# truncation_error_estimate, euler_product_eval's array pass over a subset's
+# parts and ProductForm.subset_parts import numpy, so only the oracle and
+# genfun subcommands and the even and subset forms of euler-product load it.
+# The distinct and not-one forms never do, at any s: they sum their factors
+# in pure Python and their tail, where that pays, through the zeta kernel.
+# The records are namedtuples, so nothing loads dataclasses.  Each check runs
+# in a fresh interpreter, where nothing else has imported either.
 
 def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -407,6 +408,7 @@ def test_import_does_not_load_numpy():
     ["faadibruno", "--order", "6"],
     ["euler-product", "--form", "not-one", "--s", "3", "--max-factor", "20000"],
     ["euler-product", "--form", "distinct", "--s", "2"],
+    ["euler-product", "--form", "distinct", "--s=2+1000000i", "--max-factor", "1000"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_does_not_load_numpy(argv):
     proc = run_python(
@@ -421,7 +423,7 @@ def test_subcommand_does_not_load_numpy(argv):
 
 @pytest.mark.parametrize("argv, key", [
     (["oracle", "--s", "2", "--k", "2", "--max-part", "10"], "value"),
-    (["euler-product", "--form", "distinct", "--s", "2", "--max-factor", "100"], "value"),
+    (["euler-product", "--form", "even", "--s", "2", "--max-factor", "100"], "value"),
     (["genfun", "--s", "2", "--max-part", "5", "--k-max", "3"], "coeffs"),
 ], ids=["oracle", "euler-product", "genfun"])
 def test_array_subcommands_still_run(argv, key):

@@ -404,9 +404,10 @@ def test_shifted_kernel_at_one_is_the_direct_branch_bit_for_bit():
 
 
 def test_zeta_est_error_is_unchanged_by_the_shift():
-    # frozen: riemann_zeta's est_error before the kernel took a start a.
-    # The a = 1 rounding bound is formed inline; its phase share dominates
-    # the first and fifth values.
+    # frozen: riemann_zeta's est_error before the kernel took a start a,
+    # when the a = 1 rounding bound was formed inline; _em_partial_rounding
+    # rounds its phase share differently.  That share dominates the first
+    # and fifth values.
     for s, want in ((0.5 + 1e4j, 1.4991654539253307e-09), (2 + 3j, 9.300088570074688e-15),
                     (0.7 + 300j, 3.389988922042384e-12), (30 + 1e3j, 1.519496917190814e-14),
                     (1.5 + 2e5j, 9.441301501719332e-10), (-0.5 + 3j, 3.307145400857841e-14)):
@@ -837,8 +838,9 @@ def test_builtin_products_match_the_finite_product_times_its_tail(s):
     # The product over n <= N at 40 digits (term by term to n = 200, past
     # that through mpmath's zeta(js, 201) - zeta(js, N + 1)) times the same
     # first-order tail factor, around the head's end K = 64 and far past it.
-    # Up to K only the head is summed; at K + 1 the array pass is planned
-    # cheaper; from 10^4 on the tail runs through the kernel.
+    # Up to K only the head is summed; at K + 1 the kernel would cost more
+    # than the one factor past K, so the loop runs to N; from 10^4 on the
+    # tail runs through the kernel.
     mpmath = pytest.importorskip("mpmath")
     s = complex(s)
     for n_max in (numeric._HEAD - 1, numeric._HEAD, numeric._HEAD + 1, 10**4, 10**6):
@@ -863,43 +865,78 @@ def test_builtin_products_match_the_finite_product_times_its_tail(s):
 
 def test_builtin_product_routes_are_planned_before_summing(monkeypatch):
     calls = []
-    array_pass = numeric._array_log_sum
-    monkeypatch.setattr(numeric, "_array_log_sum", lambda *args: calls.append(args[1]) or array_pass(*args))
+    kernel = numeric._zeta_euler_maclaurin
+    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", lambda *args: calls.append(args[0]) or kernel(*args))
     forms = (ProductForm.distinct_parts(), ProductForm.parts_not_one())
-    # Far past the head the tail costs a few dozen powers.
+    # Far past the head the tail costs a few dozen powers, and the kernel
+    # sums it.
     for form in forms:
-        for s in (2, 1.01, 30, 2 + 1e3j):
+        for s in (2, 1.01, 2 + 1e3j):
+            before = len(calls)
             euler_product_eval(form, s, 10**6)
-    assert calls == []
-    # High up the imaginary axis the kernel's cutoffs cost more than N
-    # powers, and from 2^53 on n no longer converts exactly: the array pass
-    # is taken, and no kernel sum runs first.
-    def kernel(*args):
+            assert len(calls) > before, (form.kind, s)
+    # Just past the head, and high up the imaginary axis, the kernel's
+    # cutoffs cost more than the factors they replace: the loop runs to N,
+    # and no kernel sum runs first.  Where the loop's phase rounding alone
+    # passes the threshold, it refuses.
+    def no_kernel(*args):
         raise AssertionError("the kernel summed")
 
-    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", kernel)
+    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", no_kernel)
     for form in forms:
+        euler_product_eval(form, 2, numeric._HEAD + 1)
         euler_product_eval(form, 2 + 1e6j, 1000)
-        with pytest.raises((MemoryError, ValueError)):
+        with pytest.raises(PrecisionLoss):
+            euler_product_eval(form, 2 + 1e12j, 10**14)
+    # From 2^53 on n no longer converts to a double exactly: every form
+    # refuses the size.
+    for form in (*forms, ProductForm.subset_parts(lambda n: n % 2 == 0)):
+        with pytest.raises(ValueError, match="2\\^53"):
             euler_product_eval(form, 2, 2**53)
-    assert calls == [2 + 1e6j, 2, 2 + 1e6j, 2]
 
 
 def test_builtin_products_return_wherever_the_array_pass_did():
     # A seeded grid up to |Im s| = 10^5: every input returns a finite value
-    # that agrees with the array pass's within est_error.
+    # that agrees within est_error with one numpy pass over all the parts.
     rng = random.Random(2047)
     for i in range(80):
-        kind, sign = rng.choice((("distinct", 1.0), ("not_one", -1.0)))
+        kind, lo, sign = rng.choice((("distinct", 1, 1.0), ("not_one", 2, -1.0)))
         t = 0.0 if i % 4 == 0 else rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 5)
         s = complex(rng.uniform(1.0001, 6), t)
         n_max = int(10 ** rng.uniform(1, 6))
         got = euler_product_eval(ProductForm(kind), s, n_max)
-        log_sum, _, in_window = numeric._array_log_sum(ProductForm(kind), s, sign, n_max)
-        density = in_window / (n_max - n_max // 2)
+        log_sum = numeric._array_log_sum(s, sign, np.arange(lo, n_max + 1, dtype=np.float64))
+        density = len(range(max(lo, n_max // 2 + 1), n_max + 1)) / (n_max - n_max // 2)
         array = cmath.exp(sign * log_sum + density * n_max ** (1 - s) / (s - 1))
         assert cmath.isfinite(got.value) and math.isfinite(got.est_error), (kind, s, n_max)
         assert abs(got.value - array) <= got.est_error, (kind, s, n_max)
+
+
+@pytest.mark.parametrize("form, lo, step, sign", [
+    (ProductForm.distinct_parts(), 1, 1, 1),
+    (ProductForm.parts_not_one(), 2, 1, -1),
+    (ProductForm.subset_parts(lambda n: n % 3 == 0), 3, 3, -1),
+], ids=["distinct", "not_one", "multiples_of_3"])
+def test_products_refuse_on_the_rounding_of_their_phases(form, lo, step, sign):
+    # The phases Im(s) log n are formed in double, so far up the imaginary
+    # axis they are rounding noise: every form refuses before summing once
+    # their share of est_error, 4 |Im s| u log N int_1^N x^-sigma, passes
+    # 1e-8.  Below that the value is within est_error of the finite product
+    # at 60 digits times the same first-order tail factor.
+    mpmath = pytest.importorskip("mpmath")
+    n_max = 1000
+    s = 2 + 1e6j
+    parts = range(lo, n_max + 1, step)
+    density = sum(1 for n in parts if n > n_max // 2) / (n_max - n_max // 2)
+    with mpmath.workdps(60):
+        z = mpmath.mpc(s.real, s.imag)
+        log_prod = sign * mpmath.fsum(mpmath.log(1 + sign * mpmath.power(n, -z)) for n in parts)
+        want = complex(mpmath.exp(log_prod + density * mpmath.power(n_max, 1 - z) / (z - 1)))
+    got = euler_product_eval(form, s, n_max)
+    assert abs(got.value - want) <= got.est_error
+    for s in (2 + 1e12j, 2 + 1e15j):
+        with pytest.raises(PrecisionLoss):
+            euler_product_eval(form, s, n_max)
 
 
 def test_builtin_product_est_error_bounds_the_closed_forms():
