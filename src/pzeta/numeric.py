@@ -37,6 +37,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
+from operator import add, mul
 
 from .errors import (
     DivergenceRegion,
@@ -151,9 +152,11 @@ _MAX_CORRECTIONS = 80
 #: costs about two terms and the planner's step about three; call times
 #: with weights 4 and 8 agree within noise, so the value is not critical.
 _CORRECTION_COST = 4
-#: A depth-1 cutoff this far past a - 1 may leave a walk long enough that
-#: _em_jump costs less; below it the walk has at most 8 more steps.
-_JUMP_GAIN = 32.0
+#: A depth-1 cutoff this far past a - 1 leaves a walk long enough that
+#: _em_jump costs less.  On the benchmark rounds' plans, timed in one
+#: process, 512 planned faster than 32 or 128: on shallower plans the guess
+#: and log |(s)_2M| cost about as much as the steps they save.
+_JUMP_GAIN = 512.0
 _LOG_4 = math.log(4.0)
 _LOG_2PI = math.log(2 * math.pi)
 _LOG_4PI2 = 2 * _LOG_2PI
@@ -193,24 +196,28 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
 
     The walk stops as soon as the cutoff is within 4 of a - 1, since no
     deeper depth can then cost less.  Where depth 1 leaves a long walk
-    ahead, _em_jump guesses the optimal depth in closed form and forms
-    log |(s)_2M| two depths before the guess by Stirling's series, and the
-    walk resumes there; the bound then carries that log's rounding, so it
-    is never below the bound from the exact sum of logs.  If the cost does
-    not fall at the first step after the jump, the guess may lie past the
-    optimum, and the walk is redone from depth 1.  Planning takes a few
-    steps at any depth.  Every caller has sigma >= 1/2, so no Pochhammer
-    factor vanishes."""
+    ahead, _em_jump guesses the optimal depth and forms log |(s)_2M| a depth
+    or so before the guess: below Stirling's radius (|s + 2| < 15) as the
+    log of the exact product of the 2M factors, beyond it by Stirling's
+    series.  The walk resumes there, from the cost at that depth; the bound
+    then carries the rounding of that log and of the steps after it, so it
+    is never below the bound from the exact sum of logs, and where no walk
+    resumes it is the walk's bound bit for bit.  If the cost does not fall
+    at the first step after the resume depth, the guess may lie past the
+    optimum, and the walk is redone from depth 1.  On seeded grids the
+    resumed walk takes 1 or 2 steps below Stirling's radius and a few
+    beyond it; where Re s is large against log |Im s| the closed form does
+    not hold, and the walk runs from depth 1.  Every caller has
+    sigma >= 1/2, so no Pochhammer factor vanishes."""
     sigma, t = s.real, s.imag
     log, hypot, exp = math.log, math.hypot, math.exp
     skipped = float(a - 1)
     for may_jump in (True, False):
-        best, log_poch, m, base, err = math.inf, 0.0, 0, 0, 0.0
-        while m < _MAX_CORRECTIONS:
-            m += 1
-            e = sigma + (2 * m - 1)
-            # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
-            log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
+        best, m, base, err = math.inf, 1, 0, 0.0
+        e = sigma + 1
+        # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
+        log_poch = log(hypot(e - 1, t)) + log(hypot(e, t))
+        while True:
             log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - log(e)
             x = (log_c - _LOG_EM_TARGET) / e
             n = exp(x if x < 700.0 else 700.0)
@@ -219,58 +226,103 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
                 break
             best, pick = cost, (m, log_c, e, n)
             # cost(M + 1) >= skipped + 4 (M + 1), in floating point too.
-            if cost <= skipped + _CORRECTION_COST * (m + 1):
+            if cost <= skipped + _CORRECTION_COST * (m + 1) or m == _MAX_CORRECTIONS:
                 break
             # Since cost(M) >= skipped + 4 M, a walk from depth 1 takes at
             # most (n(1) - skipped) / 4 more steps.
-            if (m == 1 and may_jump and n - skipped > _JUMP_GAIN
-                    and (e + 1) * (e + 1) + t * t >= _STIRLING_RADIUS**2):
+            if m == 1 and may_jump and n - skipped > _JUMP_GAIN:
                 jump = _em_jump(s, skipped, log_poch)
                 if jump is not None:
-                    base, log_poch, err = jump
-                    m, best = base, math.inf
-        if not base or pick[0] > base + 1:
+                    m, log_poch, err = jump
+                    base, e = m, sigma + (2 * m - 1)
+                    continue
+            m += 1
+            e = sigma + (2 * m - 1)
+            log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
+        if not base or pick[0] > base:
             break
         # The guess may lie past the optimum: walk again without it.
     m, log_c, e, n = pick
-    if base:
-        # Each step from the jump on adds a pair of logs, erring by at most
-        # 2 pair + 6 (both logs, their arguments and their sum) plus P for
-        # the running sum.
-        err += (m - base) * (log_poch + 4 * log(hypot(e + 1, t)) + 6)
     n = max(2, a, math.ceil(n))
-    log_bound = log_c + _U * err - e * math.log(n)
+    log_n = math.log(n)
+    if base:
+        # Each step from the resume depth on adds a pair of logs, erring by
+        # at most 2 pair + 6 (both logs, their arguments and their sum) plus
+        # P for the running sum.  The four additions and the product e log N
+        # that form log_bound from P err by at most
+        # 5 (P + M log 4 pi^2 + e) + 2 e log N, so the bound is never below
+        # the one formed from the exact sum of logs.
+        err += ((m - base) * (log_poch + 4 * log(hypot(e + 1, t)) + 6)
+                + 5 * (log_poch + m * _LOG_4PI2 + e) + 2 * e * log_n)
+    log_bound = log_c + _U * err - e * log_n
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def _em_jump(s: complex, skipped: float, log_poch: float):
     """Where _em_plan's walk, at depth 1 with log |(s)_2| = log_poch, should
-    resume: (a depth two before the guessed optimum, log |(s)_2M| there, a
-    bound on its rounding in units of u), or None where the guess is under
-    4 depths.  Needs |s + 2| >= 15."""
+    resume: (a depth about one before the guessed optimum, log |(s)_2M|
+    there, a bound on its rounding in units of u), or None where that depth
+    is under 4 or the closed form does not hold."""
     sigma, t = s.real, s.imag
     log, hypot = math.log, math.hypot
-    # The guess.  Where |t| dominates, |s + j| ~ |s + m0| = 2 pi K over the
-    # depths that matter (m0 = 0.7 sqrt |t| is about the optimal M), so
-    # log n(M) ~ log K + B / e with e = sigma + 2M - 1 and
-    # B = log 4 - log 1e-16 - (sigma - 1) log K - log e.  The continuous
-    # optimum of n + 4M has n log(n / K) = 2e, that is v^2 e^v = 2B / K for
-    # v = B / e: v = 2 W(sqrt(B / 2K)), Lambert's W in Winitzki's form
-    # (within 2%), with log e ~ (log K + log 17.5) / 2 from the leading
-    # order e ~ sqrt(B K / 2), B ~ 35.  Where the cutoff reaches a - 1
-    # first, the guess is the depth where log n = log (a - 1).  The walk
-    # resumed two depths before the guess takes up its error.
-    lk = log(hypot(sigma + 0.7 * math.sqrt(abs(t)), t)) - _LOG_2PI
-    b = _LOG_4 - _LOG_EM_TARGET - (sigma - 0.5) * lk - 1.43
-    if b <= 0:
+    small = (sigma + 2) * (sigma + 2) + t * t < _STIRLING_RADIUS**2
+    if small and skipped <= 1:
+        # Below Stirling's radius, with no floor, the continuous optimum of
+        # the cost, with log |(s)_2M| = Re log Gamma(s + 2M) - Re log Gamma(s),
+        # has e = sigma + 2M - 1 between 13.2 and 17.8.  This quadratic in
+        # sigma and |t|, fitted to it by least squares at 600 seeded points
+        # of |s + 2| < 15, sigma >= 1/2, is within 0.41 of it there.
+        y = abs(t)
+        e = 13.02 + 0.341 * (sigma + y) - sigma * (0.0348 * y + 0.0194 * sigma)
+    else:
+        # Where |t| dominates, |s + j| ~ |s + m0| = 2 pi K over the depths
+        # that matter (m0 = 0.7 sqrt |t| is about the optimal M), so
+        # log n(M) ~ log K + B / e with B = log 4 - log 1e-16 - (sigma - 1) log K
+        # - log e.  The continuous optimum of n + 4M has n log(n / K) = 2e,
+        # that is v^2 e^v = 2B / K for v = B / e: v = 2 W(sqrt(B / 2K)),
+        # Lambert's W in Winitzki's form (within 2%), with
+        # log e ~ (log K + log 17.5) / 2 from the leading order
+        # e ~ sqrt(B K / 2), B ~ 35.
+        k = hypot(sigma + 0.7 * math.sqrt(abs(t)), t) / (2 * math.pi)
+        lk = log(k)
+        b = _LOG_4 - _LOG_EM_TARGET - (sigma - 0.5) * lk - 1.43
+        if b < 8:
+            # Too far from B ~ 35 for that log e: on seeded grids the walk
+            # then resumed 6 or more depths short, so it runs from depth 1.
+            return None
+        w = math.log1p(math.sqrt(0.5 * b / k))
+        e = 0.5 * b / (w * (1 - math.log1p(w) / (2 + w)))
+        if skipped > 1 and b < e * (d := log(skipped + 4) - lk):
+            # The cutoff floor binds.  The walk stops at the first M with
+            # n(M) <= a + 3, where its cost starts to rise by 4 a step, so
+            # solve log n = log(a + 3), that is e d + log e = B + log e with
+            # d = log(a + 3) - log K (B + log e does not depend on e): two
+            # Newton steps from the root with the unfloored log e, which
+            # alone leaves the guess up to 9 depths short at a = 10^6 + 1,
+            # then half a depth past the root.  The steps keep e > 0, as
+            # they start below the unfloored e ~ sqrt(B K / 2) < e^(B + log e + 1).
+            b0, e = b + 0.5 * lk + 1.43, b / d
+            for _ in (0, 1):
+                e -= (e * d + log(e) - b0) / (d + 1 / e)
+            e += 1
+    # On seeded grids the walk's depth lies within -0.9 and +1.0 of the
+    # guess (e - sigma + 1) / 2 (beyond Stirling's radius mostly, with a
+    # tail of deeper depths), so resuming a depth before the guess, rounded
+    # down after adding 0.05, leaves the walk 1 or 2 steps.
+    m = int(min(0.5 * (e - sigma + 1), _MAX_CORRECTIONS) + 0.05) - 1
+    if not m >= 4:
         return None
-    w = math.log1p(math.sqrt(0.5 * b * math.exp(-lk)))
-    e = 0.5 * b / (w * (1 - math.log1p(w) / (2 + w)))
-    if skipped > 1 and b < e * (log(skipped) - lk):
-        e = b / (log(skipped) - lk)
-    m = min(int((e - sigma + 1) / 2), _MAX_CORRECTIONS) - 2
-    if m < 2:
-        return None
+    if small:
+        # The 2M factors s + j, |s + j| < 15 + j, multiply to under e^702
+        # even at M = 80, and to over 1/2.  Each factor errs by at most u
+        # (only sigma + j rounds), each of the 2M - 1 complex products by
+        # sqrt(5) u in modulus, abs by u and the log by u |P|: P errs by at
+        # most 7M + P + 1, with P = log |(s)_2M| > 0 from M = 2 on.
+        q = s
+        for j in range(1, 2 * m):
+            q *= s + j
+        p = log(abs(q))
+        return m, p, 7 * m + p + 1
     # log |(s)_2M| = log |(s)_2| + Re log Gamma(z1) - Re log Gamma(z0) with
     # z0 = s + 2, z1 = z0 + h, h = 2M - 2.  By Stirling's series at
     # |z0| >= 15, with h / z0 = w and log(1 + w) = A + iB, the difference is
@@ -298,9 +350,9 @@ def _em_jump(s: complex, skipped: float, log_poch: float):
     return m, p, 3 * log_poch + p + 21 * t3 + 18 * t2 + h * (5 * log_z1 - 2) + x0 + 3
 
 
-def _em_partial_rounding(s: complex, a: int, n_cut: int) -> float:
+def _em_partial_rounding(s: complex, a: int, n_cut: int, log_n: float) -> float:
     """Rounding bound, in units of u, of the partial sum of n^-s over
-    a <= n < n_cut."""
+    a <= n < n_cut, given log_n = log(n_cut)."""
     # CPython forms n^-s as n^-sigma (cos, sin)(t log n), two roundings in
     # the phase, so n^-s carries a relative error of at most
     # 2 |t| log n + c; c = 20 covers pow, cos/sin, the products and the
@@ -312,14 +364,18 @@ def _em_partial_rounding(s: complex, a: int, n_cut: int) -> float:
     # on the rest, whose moduli sum to at most Z1: the partial sum errs by
     # at most u ((21 + N - a) Z + 2 |t| (log N Z1 + log a a^-sigma)).  At
     # a = 1 the n = 1 term 1 ** -s is exactly 1 + 0j and log a = 0, so the
-    # phase share falls on Z1 alone.  Far right N = 2 and Z1 is about
-    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma;
-    # |t| multiplies last, so it overflows only where the share is infinite.
+    # phase share falls on Z1 alone, and log(N / a) is the caller's log N.
+    # Far right N = 2 and Z1 is about 1 / (sigma - 1), so that share passes
+    # 1e-8 only from |t| ~ 6e7 sigma; |t| multiplies last, so it overflows
+    # only where the share is infinite.
     sigma, head = s.real, a ** -s.real
-    log_ratio = math.log(n_cut / a)
+    if a == 1:
+        log_a, log_ratio = 0.0, log_n
+    else:
+        log_a, log_ratio = math.log(a), math.log(n_cut / a)
     x = (1 - sigma) * log_ratio
     z1 = a * head * math.expm1(min(x, 700.0)) / (1 - sigma) if x else log_ratio
-    return (21 + n_cut - a) * (head + z1) + abs(s.imag) * (2 * (math.log(n_cut) * z1 + math.log(a) * head))
+    return (21 + n_cut - a) * (head + z1) + abs(s.imag) * (2 * (log_n * z1 + log_a * head))
 
 
 def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None) -> EvalResult:
@@ -334,8 +390,9 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None)
     # N^-s (2 |t| log N + 20) plus a few roundings; correction r adds at
     # most 9r more in w and its Bernoulli factor, and summing M corrections
     # M more.
-    phase = abs(s.imag) * (2 * math.log(n_cut))
-    summed = _em_partial_rounding(s, a, n_cut)
+    log_n = math.log(n_cut)
+    phase = abs(s.imag) * (2 * log_n)
+    summed = _em_partial_rounding(s, a, n_cut, log_n)
     if scale * (_U * summed) > PRECISION_LOSS_THRESHOLD:
         # The partial sum's share of the rounding bound alone is too large:
         # refuse before summing.
@@ -478,12 +535,16 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     a = [abs(z.value) for z in zetas]
     e = [z.est_error for z in zetas]
     A = complete_homogeneous(a, 1.0)
-    D = [0.0]
+    # The sum over j of (a_j + e_j) D_{n-j} + e_j A_{n-j}, j = 1..n, on
+    # D_{n-1}, ..., D_0 kept newest first, term by term as the plain loop.
+    c = list(map(add, a, e))
+    d, past = 0.0, []
     for n in range(1, k + 1):
-        acc = sum((a[j - 1] + e[j - 1]) * D[n - j] + e[j - 1] * A[n - j] for j in range(1, n + 1))
-        D.append(acc / n + (n + 2) * 2.5e-16 * A[n])
+        past.insert(0, d)
+        acc = sum(map(add, map(mul, c, past), map(mul, e, A[n - 1::-1])))
+        d = acc / n + (n + 2) * 2.5e-16 * A[n]
     terms = sum(z.terms_used for z in zetas) + k * (k + 1) // 2
-    return _finite(EvalResult(value, D[k], terms))
+    return _finite(EvalResult(value, d, terms))
 
 
 def _bounded_part_sums(s: complex, max_part: int, k_max: int) -> list[complex]:
@@ -714,7 +775,7 @@ def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
         for a in (_HEAD + 1, max_factor + 1):
             plan = _em_plan(z, a)
             cost += plan[0] - a + 1 + _CORRECTION_COST * plan[1]
-            share += _em_partial_rounding(z, a, plan[0]) / j
+            share += _em_partial_rounding(z, a, plan[0], math.log(plan[0])) / j
             plans.append((a, plan))
         if cost >= max_factor or _U * share > PRECISION_LOSS_THRESHOLD:
             top, tail = max_factor, []

@@ -9,6 +9,7 @@ len(lam), norm math.prod(lam) and multiplicities collections.Counter(lam).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from operator import mul
 
 
 def enumerate_partitions_of_size(k: int) -> Iterator[tuple[int, ...]]:
@@ -47,10 +48,15 @@ def enumerate_partitions_of_size(k: int) -> Iterator[tuple[int, ...]]:
 
 def complete_homogeneous(power_sums: Sequence, one) -> list:
     """[h_0 = one, h_1, ..., h_k], h_n = sum over lambda of n of p_lambda /
-    (N(lambda) m_1!...m_n!), by Newton's n h_n = sum_j p_j h_{n-j} in O(k^2)."""
-    h = [one]
-    for n in range(1, len(power_sums) + 1):
-        terms = (power_sums[j - 1] * h[n - j] for j in range(2, n + 1))
-        h.append(sum(terms, power_sums[0] * h[n - 1]) / n)
-    return h
+    (N(lambda) m_1!...m_n!), by Newton's n h_n = sum_j p_j h_{n-j} in O(k^2).
 
+    The history h_{n-2}, ..., h_0 is kept newest first, so each step's
+    inner product is one sum over map(mul, ...) of p_2, p_3, ... against it,
+    started from p_1 h_{n-1}: the terms and their order are those of the
+    plain loop over j, so float, complex and Fraction results are the same
+    bit for bit, signed zeros included."""
+    h, past, rest = [one], [], power_sums[1:]
+    for n in range(1, len(power_sums) + 1):
+        h.append(sum(map(mul, rest, past), power_sums[0] * h[-1]) / n)
+        past.insert(0, h[-2])
+    return h

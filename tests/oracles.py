@@ -10,6 +10,9 @@ exp_partition_sums_fraction sums the exponential's partition side one
 reduced Fraction product per partition, poly_mul multiplies integer
 polynomials by schoolbook convolution, and em_plan_walk plans the
 Euler-Maclaurin kernel by walking every correction depth up from 1.
+complete_homogeneous_loop and family_error_loop run the Newton recurrence
+and partition_zeta_family's error recurrence as plain loops over j, one
+generator sum per step.
 """
 
 from __future__ import annotations
@@ -132,3 +135,26 @@ def em_plan_walk(s: complex, a: int = 1) -> tuple[int, int, float]:
     n = max(2, a, math.ceil(n))
     log_bound = log_c - e * math.log(n)
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def complete_homogeneous_loop(power_sums: Sequence, one) -> list:
+    """partitions.complete_homogeneous as a plain loop: n h_n is the sum
+    over j = 1..n of p_j h_{n-j}, a generator summed from the j = 1 term."""
+    h = [one]
+    for n in range(1, len(power_sums) + 1):
+        terms = (power_sums[j - 1] * h[n - j] for j in range(2, n + 1))
+        h.append(sum(terms, power_sums[0] * h[n - 1]) / n)
+    return h
+
+
+def family_error_loop(a: Sequence[float], e: Sequence[float], k: int) -> float:
+    """partition_zeta_family's est_error D_k from the moduli a_j and errors
+    e_j of its zeta factors: D_n = (1/n) sum_j [(a_j + e_j) D_{n-j} +
+    e_j A_{n-j}] + (n + 2) 2.5e-16 A_n, A = complete_homogeneous_loop(a),
+    each sum a generator over j = 1..n."""
+    A = complete_homogeneous_loop(a, 1.0)
+    D = [0.0]
+    for n in range(1, k + 1):
+        acc = sum((a[j - 1] + e[j - 1]) * D[n - j] + e[j - 1] * A[n - j] for j in range(1, n + 1))
+        D.append(acc / n + (n + 2) * 2.5e-16 * A[n])
+    return D[k]

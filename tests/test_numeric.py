@@ -266,37 +266,82 @@ def test_zeta_plan_meets_its_remainder_bound():
         assert _zeta_euler_maclaurin(s).est_error >= bound
 
 
-def test_plan_is_the_walks_plan(monkeypatch):
-    # _em_plan against em_plan_walk, the walk up from depth 1 it replaces.
-    # (N, M) agree.  Where no jump ran the bound agrees bit for bit.  Where
-    # one ran, its log |(s)_2M| carries a rounding margin: the bound is at
-    # or above the one formed from the fsum of the logs, and its log is
-    # within 64 u times the log-sum of the walk's (whose own running sum of
-    # up to 160 logs errs by that order), or within 1e-12 where that is
-    # wider.
+@pytest.fixture
+def jumps(monkeypatch):
+    # Every _em_jump outcome, in call order: (resume depth, log |(s)_2M|
+    # there, its rounding margin) or None.
     outcomes = []
     jump = numeric._em_jump
     monkeypatch.setattr(numeric, "_em_jump", lambda *args: outcomes.append(jump(*args)) or outcomes[-1])
+    return outcomes
+
+
+def _resumed_plan(s, a, jumps):
+    # _em_plan(s, a), checked against em_plan_walk: (N, M) agree.  Where
+    # the walk did not resume (no jump, or one past the optimum that the
+    # walk from depth 1 then redid) the bound agrees bit for bit, and the
+    # resume depth returned is None.  Where it resumed, log |(s)_2M| carries
+    # a rounding margin: the bound is at or above the one formed from the
+    # fsum of the logs, and its log is within 64 u times the log-sum of the
+    # walk's (whose own running sum of up to 160 logs errs by that order),
+    # or within 1e-12 where that is wider.
+    jumps.clear()
+    n, m, bound = _em_plan(s, a)
+    want = em_plan_walk(s, a)
+    assert (n, m) == want[:2], (s, a)
+    base = next((o[0] for o in jumps if o), None)
+    if base is None or base >= m:
+        assert bound == want[2], (s, a)
+        return m, None
+    log_sum = math.fsum(math.log(abs(s + j)) for j in range(2 * m))
+    e = s.real + 2 * m - 1
+    log_ref = math.fsum([math.log(4), log_sum, -2 * m * math.log(2 * math.pi),
+                         -math.log(e), -e * math.log(n)])
+    assert math.log(bound) >= log_ref, (s, a)
+    assert abs(math.log(bound / want[2])) <= max(1e-12, 64 * _U * log_sum), (s, a)
+    return m, base
+
+
+def test_plan_is_the_walks_plan(jumps):
+    # _em_plan against em_plan_walk, the walk up from depth 1 it replaces.
     rng = random.Random(2051)
-    jumped = 0
+    resumed = 0
     for _ in range(1000):
         s = complex(rng.uniform(0.5, 40), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5))
         for a in (1, 2, 65, 10**6 + 1):
-            outcomes.clear()
-            n, m, bound = _em_plan(s, a)
-            want = em_plan_walk(s, a)
-            assert (n, m) == want[:2], (s, a)
-            if not any(outcomes):
-                assert bound == want[2], (s, a)
-                continue
-            jumped += 1
-            log_sum = math.fsum(math.log(abs(s + j)) for j in range(2 * m))
-            e = s.real + 2 * m - 1
-            log_ref = math.fsum([math.log(4), log_sum, -2 * m * math.log(2 * math.pi),
-                                 -math.log(e), -e * math.log(n)])
-            assert math.log(bound) >= log_ref, (s, a)
-            assert abs(math.log(bound / want[2])) <= max(1e-12, 64 * _U * log_sum), (s, a)
-    assert jumped > 150
+            resumed += _resumed_plan(s, a, jumps)[1] is not None
+    assert resumed > 150
+
+
+def test_plans_below_stirlings_radius_resume_a_step_or_two_short(jumps):
+    # Depth 3-9 plans at |s + 2| < 15, where log |(s)_2M| at the resume
+    # depth is the log of the exact product: every resumed walk takes 1 or
+    # 2 steps, none is redone from depth 1, and the depth 7-9 plans at
+    # a <= 2 all resume.
+    rng = random.Random(2071)
+    steps = []
+    for _ in range(3000):
+        t = 0.0 if rng.random() < 0.2 else rng.uniform(-15, 15)
+        s = complex(rng.uniform(0.5, 13), t)
+        a = rng.choice((1, 2, 65))
+        if abs(s + 2) >= 15 or not 3 <= em_plan_walk(s, a)[1] <= 9:
+            continue
+        m, base = _resumed_plan(s, a, jumps)
+        assert any(jumps) == (base is not None), (s, a)
+        if base is not None:
+            steps.append(m - base)
+        else:
+            assert m < 7 or a > 2, (s, a)
+    assert set(steps) == {1, 2} and len(steps) > 500
+
+
+def test_floored_plans_resume_near_their_depth(jumps):
+    # Where the floor a - 1 binds, the guess solves log n = log(a + 3) with
+    # the log of its own e; with the unfloored log e it resumed 9, 10 and
+    # 5 depths short here.
+    for s in (0.6 + 4.8e6j, 0.6 + 4.925e6j, 0.6 + 2e6j):
+        m, base = _resumed_plan(s, 10**6 + 1, jumps)
+        assert base is not None and m - base <= 3, s
 
 
 def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
@@ -423,7 +468,7 @@ def test_shifted_kernel_cutoff_starts_at_the_shift():
         return (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
                 - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
 
-    # Depths 1, 2, 6 and 8 (jumps that resume the walk at depths 4 and 5),
+    # Depths 1, 2, 6 and 8 (jumps that resume the walk at depths 5 and 6),
     # 80, and far right.
     for s in (2 + 0j, 1.1 + 0j, 3 + 50j, 0.6 + 2e5j, 0.6 + 4e5j, 0.6 + 4.925e6j, 1e300 + 0j):
         n, m, bound = _em_plan(s, 10**6 + 1)

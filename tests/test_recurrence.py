@@ -6,7 +6,9 @@ The oracle below enumerates every partition of k and sums
 prod_j zeta(js)^{m_j} / (N(lambda) prod_j m_j!) term by term.  It lives only
 here: the package computes F_k by the recurrence (the numeric route through
 partitions.complete_homogeneous, the exact one on scaled ints) and never
-enumerates partitions for it.
+enumerates partitions for it.  The numeric route's passes are also checked
+bit for bit against the recurrence as plain loops over j, from
+tests/oracles.py.
 """
 
 import math
@@ -14,6 +16,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from oracles import complete_homogeneous_loop, family_error_loop
+from pzeta.errors import DomainError
 from pzeta.exact import (
     PiPower,
     partition_zeta_exact,
@@ -89,6 +93,57 @@ def test_complete_homogeneous_agrees_across_number_types():
     for n in range(11):
         assert abs(floats[n] - float(exact[n])) <= 1e-12 * (1 + abs(float(exact[n])))
         assert abs(cplx[n] - float(exact[n])) <= 1e-12 * (1 + abs(float(exact[n])))
+
+
+def _bits(x):
+    # Floats and complex parts by their hex digits, so -0.0 differs from 0.0.
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    return x.hex() if isinstance(x, float) else x
+
+
+def test_complete_homogeneous_is_the_plain_loop_bit_for_bit():
+    # The newest-first history and map(mul, ...) sum the plain loop's terms
+    # in its order from its first term: float and complex results match
+    # bit for bit, signed zeros included, and Fractions exactly.
+    rng = random.Random(2061)
+    zeros = (0.0, -0.0)
+    for k in range(46):
+        floats = [rng.choice(zeros) if rng.random() < 0.2 else rng.uniform(-3, 3) for _ in range(k)]
+        cplx = [complex(rng.choice(zeros), rng.choice(zeros)) if rng.random() < 0.2
+                else complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(k)]
+        cases = [(floats, 1.0), ([-0.0] * k, 1.0), (cplx, 1 + 0j), ([complex(-0.0, -0.0)] * k, 1 + 0j),
+                 ([complex(x) for x in floats], 1 + 0j)]
+        if k <= 20:
+            cases.append(([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)], Fraction(1)))
+        for power_sums, one in cases:
+            got = complete_homogeneous(power_sums, one)
+            want = complete_homogeneous_loop(power_sums, one)
+            assert list(map(_bits, got)) == list(map(_bits, want)), (k, power_sums)
+    assert complete_homogeneous([], -0.0)[0].hex() == "-0x0.0p+0"
+
+
+def test_family_is_the_plain_loops_on_its_zeta_values_bit_for_bit():
+    # partition_zeta_family against the loops run on the same zeta(js).
+    rng = random.Random(2063)
+    checked = left = 0
+    for _ in range(160):
+        s = complex(rng.uniform(-3, 6), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 1.5))
+        k = rng.randint(0, 45)
+        try:
+            got = partition_zeta_family(s, k)
+        except DomainError:
+            continue
+        zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
+        a = [abs(z.value) for z in zetas]
+        e = [z.est_error for z in zetas]
+        value = complete_homogeneous_loop([z.value for z in zetas], 1 + 0j)[k]
+        assert _bits(got.value) == _bits(value), (s, k)
+        assert _bits(got.est_error) == _bits(family_error_loop(a, e, k)), (s, k)
+        assert got.terms_used == sum(z.terms_used for z in zetas) + k * (k + 1) // 2
+        checked += 1
+        left += s.real < 0.5
+    assert checked > 100 and left > 20
 
 
 # --- exact route ------------------------------------------------------------------
