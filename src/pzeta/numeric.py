@@ -153,9 +153,8 @@ _MAX_CORRECTIONS = 80
 #: with weights 4 and 8 agree within noise, so the value is not critical.
 _CORRECTION_COST = 4
 #: A depth-1 cutoff this far past a - 1 leaves a walk long enough that
-#: _em_jump costs less.  On the benchmark rounds' plans, timed in one
-#: process, 512 planned faster than 32 or 128: on shallower plans the guess
-#: and log |(s)_2M| cost about as much as the steps they save.
+#: _em_jump costs less.  On high-k- and plane-like plans, 32 to 2048 plan
+#: within 8% of each other, so the value is not critical.
 _JUMP_GAIN = 512.0
 _LOG_4 = math.log(4.0)
 _LOG_2PI = math.log(2 * math.pi)
@@ -189,26 +188,20 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
     valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  Picks
     the cheapest pair whose bound meets 1e-16, at a cost of the powers n^-s
     for a <= n <= N plus 4 per depth: the first depth M whose cost does not
-    fall at M + 1, found by walking the depths upwards.  The cost falls
-    strictly up to that depth and never again after it (checked against the
-    walk from depth 1 in the tests), so a walk resumed at any depth before
-    it, once it has seen the cost fall, ends on the same depth.
+    fall at M + 1, walking the depths upwards.  The cost falls strictly up to
+    that depth and never again (checked against the walk from depth 1 in the
+    tests), so a walk resumed before it, once it has seen the cost fall,
+    ends there.
 
     The walk stops as soon as the cutoff is within 4 of a - 1, since no
-    deeper depth can then cost less.  Where depth 1 leaves a long walk
-    ahead, _em_jump guesses the optimal depth and forms log |(s)_2M| a depth
-    or so before the guess: below Stirling's radius (|s + 2| < 15) as the
-    log of the exact product of the 2M factors, beyond it by Stirling's
-    series.  The walk resumes there, from the cost at that depth; the bound
-    then carries the rounding of that log and of the steps after it, so it
-    is never below the bound from the exact sum of logs, and where no walk
-    resumes it is the walk's bound bit for bit.  If the cost does not fall
-    at the first step after the resume depth, the guess may lie past the
-    optimum, and the walk is redone from depth 1.  On seeded grids the
-    resumed walk takes 1 or 2 steps below Stirling's radius and a few
-    beyond it; where Re s is large against log |Im s| the closed form does
-    not hold, and the walk runs from depth 1.  Every caller has
-    sigma >= 1/2, so no Pochhammer factor vanishes."""
+    deeper depth can then cost less.  Where depth 1 leaves a long walk,
+    _em_jump may guess the depth and log |(s)_2M| a depth or so short of the
+    optimum; the walk resumes there, its bound carrying the rounding of that
+    log and of the later steps.  If the cost does not fall at the first
+    step, the guess may lie past the optimum (as where the floor a - 1
+    binds) and the walk is redone from depth 1; where none resumes, the
+    bound is the walk's bit for bit.  Every caller has sigma >= 1/2, so no
+    Pochhammer factor vanishes."""
     sigma, t = s.real, s.imag
     log, hypot, exp = math.log, math.hypot, math.exp
     skipped = float(a - 1)
@@ -231,7 +224,7 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
             # Since cost(M) >= skipped + 4 M, a walk from depth 1 takes at
             # most (n(1) - skipped) / 4 more steps.
             if m == 1 and may_jump and n - skipped > _JUMP_GAIN:
-                jump = _em_jump(s, skipped, log_poch)
+                jump = _em_jump(s, log_poch)
                 if jump is not None:
                     m, log_poch, err = jump
                     base, e = m, sigma + (2 * m - 1)
@@ -241,7 +234,6 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
             log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
         if not base or pick[0] > base:
             break
-        # The guess may lie past the optimum: walk again without it.
     m, log_c, e, n = pick
     n = max(2, a, math.ceil(n))
     log_n = math.log(n)
@@ -258,71 +250,37 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _em_jump(s: complex, skipped: float, log_poch: float):
+def _em_jump(s: complex, log_poch: float):
     """Where _em_plan's walk, at depth 1 with log |(s)_2| = log_poch, should
     resume: (a depth about one before the guessed optimum, log |(s)_2M|
-    there, a bound on its rounding in units of u), or None where that depth
-    is under 4 or the closed form does not hold."""
+    there by Stirling's series, a bound on its rounding in units of u), or
+    None where |s + 2| < 15, that depth is under 4 or the closed form fails."""
     sigma, t = s.real, s.imag
-    log, hypot = math.log, math.hypot
-    small = (sigma + 2) * (sigma + 2) + t * t < _STIRLING_RADIUS**2
-    if small and skipped <= 1:
-        # Below Stirling's radius, with no floor, the continuous optimum of
-        # the cost, with log |(s)_2M| = Re log Gamma(s + 2M) - Re log Gamma(s),
-        # has e = sigma + 2M - 1 between 13.2 and 17.8.  This quadratic in
-        # sigma and |t|, fitted to it by least squares at 600 seeded points
-        # of |s + 2| < 15, sigma >= 1/2, is within 0.41 of it there.
-        y = abs(t)
-        e = 13.02 + 0.341 * (sigma + y) - sigma * (0.0348 * y + 0.0194 * sigma)
-    else:
-        # Where |t| dominates, |s + j| ~ |s + m0| = 2 pi K over the depths
-        # that matter (m0 = 0.7 sqrt |t| is about the optimal M), so
-        # log n(M) ~ log K + B / e with B = log 4 - log 1e-16 - (sigma - 1) log K
-        # - log e.  The continuous optimum of n + 4M has n log(n / K) = 2e,
-        # that is v^2 e^v = 2B / K for v = B / e: v = 2 W(sqrt(B / 2K)),
-        # Lambert's W in Winitzki's form (within 2%), with
-        # log e ~ (log K + log 17.5) / 2 from the leading order
-        # e ~ sqrt(B K / 2), B ~ 35.
-        k = hypot(sigma + 0.7 * math.sqrt(abs(t)), t) / (2 * math.pi)
-        lk = log(k)
-        b = _LOG_4 - _LOG_EM_TARGET - (sigma - 0.5) * lk - 1.43
-        if b < 8:
-            # Too far from B ~ 35 for that log e: on seeded grids the walk
-            # then resumed 6 or more depths short, so it runs from depth 1.
-            return None
-        w = math.log1p(math.sqrt(0.5 * b / k))
-        e = 0.5 * b / (w * (1 - math.log1p(w) / (2 + w)))
-        if skipped > 1 and b < e * (d := log(skipped + 4) - lk):
-            # The cutoff floor binds.  The walk stops at the first M with
-            # n(M) <= a + 3, where its cost starts to rise by 4 a step, so
-            # solve log n = log(a + 3), that is e d + log e = B + log e with
-            # d = log(a + 3) - log K (B + log e does not depend on e): two
-            # Newton steps from the root with the unfloored log e, which
-            # alone leaves the guess up to 9 depths short at a = 10^6 + 1,
-            # then half a depth past the root.  The steps keep e > 0, as
-            # they start below the unfloored e ~ sqrt(B K / 2) < e^(B + log e + 1).
-            b0, e = b + 0.5 * lk + 1.43, b / d
-            for _ in (0, 1):
-                e -= (e * d + log(e) - b0) / (d + 1 / e)
-            e += 1
-    # On seeded grids the walk's depth lies within -0.9 and +1.0 of the
-    # guess (e - sigma + 1) / 2 (beyond Stirling's radius mostly, with a
-    # tail of deeper depths), so resuming a depth before the guess, rounded
-    # down after adding 0.05, leaves the walk 1 or 2 steps.
+    if (sigma + 2) * (sigma + 2) + t * t < _STIRLING_RADIUS**2:
+        return None
+    # Where |t| dominates, |s + j| ~ |s + m0| = 2 pi K over the depths
+    # that matter (m0 = 0.7 sqrt |t| is about the optimal M), so
+    # log n(M) ~ log K + B / e with B = log 4 - log 1e-16 - (sigma - 1) log K
+    # - log e.  The continuous optimum of n + 4M has n log(n / K) = 2e,
+    # that is v^2 e^v = 2B / K for v = B / e: v = 2 W(sqrt(B / 2K)),
+    # Lambert's W in Winitzki's form (within 2%), with
+    # log e ~ (log K + log 17.5) / 2 from the leading order
+    # e ~ sqrt(B K / 2), B ~ 35.
+    k = math.hypot(sigma + 0.7 * math.sqrt(abs(t)), t) / (2 * math.pi)
+    lk = math.log(k)
+    b = _LOG_4 - _LOG_EM_TARGET - (sigma - 0.5) * lk - 1.43
+    if b < 8:
+        # Too far from B ~ 35 for that log e: on seeded grids the walk
+        # then resumed 6 or more depths short, so it runs from depth 1.
+        return None
+    w = math.log1p(math.sqrt(0.5 * b / k))
+    e = 0.5 * b / (w * (1 - math.log1p(w) / (2 + w)))
+    # On seeded grids the walk's depth mostly lies within -0.9 and +1.0 of
+    # the guess (e - sigma + 1) / 2, so resuming a depth before the guess,
+    # rounded down after adding 0.05, leaves the walk 1 or 2 steps.
     m = int(min(0.5 * (e - sigma + 1), _MAX_CORRECTIONS) + 0.05) - 1
     if not m >= 4:
         return None
-    if small:
-        # The 2M factors s + j, |s + j| < 15 + j, multiply to under e^702
-        # even at M = 80, and to over 1/2.  Each factor errs by at most u
-        # (only sigma + j rounds), each of the 2M - 1 complex products by
-        # sqrt(5) u in modulus, abs by u and the log by u |P|: P errs by at
-        # most 7M + P + 1, with P = log |(s)_2M| > 0 from M = 2 on.
-        q = s
-        for j in range(1, 2 * m):
-            q *= s + j
-        p = log(abs(q))
-        return m, p, 7 * m + p + 1
     # log |(s)_2M| = log |(s)_2| + Re log Gamma(z1) - Re log Gamma(z0) with
     # z0 = s + 2, z1 = z0 + h, h = 2M - 2.  By Stirling's series at
     # |z0| >= 15, with h / z0 = w and log(1 + w) = A + iB, the difference is
@@ -344,7 +302,7 @@ def _em_jump(s: complex, skipped: float, log_poch: float):
     w = h / complex(x0, t)
     t3 = (x0 - 0.5) * (0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag))
     t2 = -t * math.atan2(w.imag, 1 + w.real)
-    log_z1 = log(hypot(x0 + h, t))
+    log_z1 = math.log(math.hypot(x0 + h, t))
     ds = (_stirling_series(complex(x0 + h, t)) - _stirling_series(complex(x0, t))).real
     p = log_poch + (t3 + t2 + h * (log_z1 - 1) + ds)
     return m, p, 3 * log_poch + p + 21 * t3 + 18 * t2 + h * (5 * log_z1 - 2) + x0 + 3
@@ -651,29 +609,31 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
         return math.inf
 
 
-#: Probe offsets right of the pole, each twice the one before.
-_PROBE_STEPS = (5e-4, 1e-3, 2e-3)
-
-
 def pole_order_estimate(k: int, j: int) -> int:
     """Estimated order of the pole of the length-k value at s = 1/j.
 
-    Probes the real axis just right of the pole at two scales: the growth
-    exponent comes from log2 |f(1/j + eps) / f(1/j + 2 eps)| at eps = 1e-3
-    and 5e-4, three evaluations in all, and the two scales must round to the
-    same integer, otherwise FitUnstable is raised.
+    The growth exponent log2 |f(1/j + eps) / f(1/j + 2 eps)| at eps = d/4
+    and d/2 (three evaluations), d = 0.004 rho with rho = 1/(j (j + 1)) the
+    distance to the next pole, must round to the same integer at both
+    scales, or FitUnstable is raised.  Only zeta(js) = 1/(j eps) + gamma +
+    O(eps) is singular there, so with p = floor(k/j), r = k - j p and H_n
+    the weight-n sum over parts other than j,
+    f = (j^2 eps)^-p H_r / p! (1 + a eps + O(eps^2)) with
+    a = p j (gamma + j H_(r+j) / H_r) + (log H_r)', and each estimate errs
+    by a eps / log 2 + O(eps^2).  zeta((j+1)s) in H_(r+j) has its pole rho
+    to the left, so |a| rho <= 0.46 k for j <= k <= 100: at eps <= d/2 the
+    error is under 0.0014 k, 0.14 at k = 100, within the 1/2 allowed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= j <= k:
         raise ValueError("j must satisfy 1 <= j <= k")
-    pole = 1.0 / j
-    f = [partition_zeta_family(pole + eps, k).value for eps in _PROBE_STEPS]
+    pole, rho = 1.0 / j, 1.0 / (j * (j + 1))
+    f = [partition_zeta_family(pole + c * rho, k).value for c in (0.001, 0.002, 0.004)]
     estimates = [math.log(abs(f[i + 1] / f[i])) / math.log(0.5) for i in (1, 0)]
     rounded = [round(e) for e in estimates]
     if rounded[0] != rounded[1]:
-        raise FitUnstable(
-            f"two-scale pole-order estimates disagree at s = 1/{j}: {estimates}")
+        raise FitUnstable(f"two-scale pole-order estimates disagree at s = 1/{j}: {estimates}")
     return rounded[0]
 
 

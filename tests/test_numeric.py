@@ -244,9 +244,9 @@ def test_zeta_cutoff_follows_height_and_real_part():
     assert riemann_zeta(120 + 400j).terms_used < 10
 
 
-# Planner inputs by depth: 1 (stopped early), 2, 4 (the shallowest plan the
-# jump reaches), 8 and 9 on either side of |s + 2| = 15, from where the
-# jump may run, 80 (forced), and far right.
+# Planner inputs by depth: 1 (stopped early), 2, 4, 8 and 9 on either side
+# of |s + 2| = 15 (walked from depth 1 below it, resumed from a jump beyond
+# it), 80 (forced), and far right.
 PLAN_DEPTHS = ((40, 1), (12 + 3j, 2), (8 + 20j, 4), (3 + 14j, 8), (0.5 + 14.8j, 9),
                (0.5 + 1e4j, 80), (1e300, 1), (1e300 + 5j, 1))
 
@@ -303,45 +303,24 @@ def _resumed_plan(s, a, jumps):
 
 
 def test_plan_is_the_walks_plan(jumps):
-    # _em_plan against em_plan_walk, the walk up from depth 1 it replaces.
+    # _em_plan against em_plan_walk, the walk up from depth 1 it replaces,
+    # on a wide grid and on one below Stirling's radius (|s + 2| < 15, where
+    # plans run up to depth 9).  Below the radius no jump is taken, so the
+    # plan and its bound are the walk's bit for bit.
     rng = random.Random(2051)
-    resumed = 0
-    for _ in range(1000):
-        s = complex(rng.uniform(0.5, 40), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5))
+    wide = [complex(rng.uniform(0.5, 40), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5))
+            for _ in range(1000)]
+    near = [complex(rng.uniform(0.5, 13), 0.0 if i % 5 == 0 else rng.uniform(-15, 15))
+            for i in range(500)]
+    resumed = below = 0
+    for s in wide + near:
         for a in (1, 2, 65, 10**6 + 1):
-            resumed += _resumed_plan(s, a, jumps)[1] is not None
-    assert resumed > 150
-
-
-def test_plans_below_stirlings_radius_resume_a_step_or_two_short(jumps):
-    # Depth 3-9 plans at |s + 2| < 15, where log |(s)_2M| at the resume
-    # depth is the log of the exact product: every resumed walk takes 1 or
-    # 2 steps, none is redone from depth 1, and the depth 7-9 plans at
-    # a <= 2 all resume.
-    rng = random.Random(2071)
-    steps = []
-    for _ in range(3000):
-        t = 0.0 if rng.random() < 0.2 else rng.uniform(-15, 15)
-        s = complex(rng.uniform(0.5, 13), t)
-        a = rng.choice((1, 2, 65))
-        if abs(s + 2) >= 15 or not 3 <= em_plan_walk(s, a)[1] <= 9:
-            continue
-        m, base = _resumed_plan(s, a, jumps)
-        assert any(jumps) == (base is not None), (s, a)
-        if base is not None:
-            steps.append(m - base)
-        else:
-            assert m < 7 or a > 2, (s, a)
-    assert set(steps) == {1, 2} and len(steps) > 500
-
-
-def test_floored_plans_resume_near_their_depth(jumps):
-    # Where the floor a - 1 binds, the guess solves log n = log(a + 3) with
-    # the log of its own e; with the unfloored log e it resumed 9, 10 and
-    # 5 depths short here.
-    for s in (0.6 + 4.8e6j, 0.6 + 4.925e6j, 0.6 + 2e6j):
-        m, base = _resumed_plan(s, 10**6 + 1, jumps)
-        assert base is not None and m - base <= 3, s
+            base = _resumed_plan(s, a, jumps)[1]
+            resumed += base is not None
+            if abs(s + 2) < 15:
+                below += 1
+                assert base is None and not any(jumps), (s, a)
+    assert resumed > 150 and below > 1500
 
 
 def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
@@ -468,8 +447,9 @@ def test_shifted_kernel_cutoff_starts_at_the_shift():
         return (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
                 - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
 
-    # Depths 1, 2, 6 and 8 (jumps that resume the walk at depths 5 and 6),
-    # 80, and far right.
+    # Depths 1, 2, 6 and 8 (where the jump's guess, blind to the floor, lies
+    # past the optimum and the walk is redone from depth 1), 80, and far
+    # right.
     for s in (2 + 0j, 1.1 + 0j, 3 + 50j, 0.6 + 2e5j, 0.6 + 4e5j, 0.6 + 4.925e6j, 1e300 + 0j):
         n, m, bound = _em_plan(s, 10**6 + 1)
         assert n == 10**6 + 1 and bound <= 1e-16
@@ -773,8 +753,9 @@ def test_genfun_rejects_non_finite_s():
 
 def test_pole_orders_small_grid(monkeypatch):
     # The pole of the length-k value at s = 1/j has order floor(k/j).  The
-    # scales eps = 1e-3 and 5e-4 share the point 1/j + 1e-3 (2 * 5e-4 is
-    # 1e-3 exactly), so each estimate takes three family evaluations.
+    # probes lie at 1/j + d {1/4, 1/2, 1}, d = 0.004 / (j (j + 1)): the two
+    # scales share the middle point, so each estimate takes three family
+    # evaluations, and at j = 1 they are 1 + {5e-4, 1e-3, 2e-3}.
     calls = []
 
     def counting(s, k):
@@ -786,7 +767,31 @@ def test_pole_orders_small_grid(monkeypatch):
         for j in range(1, k + 1):
             calls.clear()
             assert pole_order_estimate(k, j) == k // j, (k, j)
-            assert sorted(calls) == [1 / j + 5e-4, 1 / j + 1e-3, 1 / j + 2e-3]
+            d = 0.004 / (j * (j + 1))
+            assert sorted(calls) == pytest.approx([1 / j + d / 4, 1 / j + d / 2, 1 / j + d], rel=1e-15)
+    calls.clear()
+    pole_order_estimate(3, 1)
+    assert sorted(calls) == [1 + 5e-4, 1 + 1e-3, 1 + 2e-3]
+
+
+def test_pole_orders_are_floor_k_over_j_or_unstable():
+    # Every pair j <= k <= 40 and a seeded sample up to k = 100, against
+    # the paper's floor(k/j): an estimate may raise FitUnstable, but never
+    # return a wrong order.
+    rng = random.Random(2213)
+    pairs = [(k, j) for k in range(1, 41) for j in range(1, k + 1)]
+    for _ in range(40):
+        k = rng.randint(41, 100)
+        pairs.append((k, rng.randint(1, k)))
+    wrong = []
+    for k, j in pairs:
+        try:
+            got = pole_order_estimate(k, j)
+        except FitUnstable:
+            continue
+        if got != k // j:
+            wrong.append((k, j, got))
+    assert wrong == []
 
 
 def test_pole_order_validation():
