@@ -195,18 +195,18 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
 
     The walk stops as soon as the cutoff is within 4 of a - 1, since no
     deeper depth can then cost less.  Where depth 1 leaves a long walk,
-    _em_jump may guess the depth and log |(s)_2M| a depth or so short of the
-    optimum; the walk resumes there, its bound carrying the rounding of that
-    log and of the later steps.  If the cost does not fall at the first
-    step, the guess may lie past the optimum (as where the floor a - 1
-    binds) and the walk is redone from depth 1; where none resumes, the
-    bound is the walk's bit for bit.  Every caller has sigma >= 1/2, so no
-    Pochhammer factor vanishes."""
+    _em_jump may guess a depth a step or so short of the optimum: the walk
+    adds its pairs of logs up to there without pricing those depths, and
+    resumes.  If the cost does not fall at the first step, the guess may
+    lie past the optimum (as where the floor a - 1 binds) and the walk is
+    redone from depth 1.  Either way the log |(s)_2M| summed is the walk's,
+    so the plan, bound included, is the walk's bit for bit.  Every caller
+    has sigma >= 1/2, so no Pochhammer factor vanishes."""
     sigma, t = s.real, s.imag
     log, hypot, exp = math.log, math.hypot, math.exp
     skipped = float(a - 1)
     for may_jump in (True, False):
-        best, m, base, err = math.inf, 1, 0, 0.0
+        best, m, base = math.inf, 1, 0
         e = sigma + 1
         # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
         log_poch = log(hypot(e - 1, t)) + log(hypot(e, t))
@@ -224,11 +224,12 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
             # Since cost(M) >= skipped + 4 M, a walk from depth 1 takes at
             # most (n(1) - skipped) / 4 more steps.
             if m == 1 and may_jump and n - skipped > _JUMP_GAIN:
-                jump = _em_jump(s, log_poch)
-                if jump is not None:
-                    m, log_poch, err = jump
-                    base, e = m, sigma + (2 * m - 1)
-                    continue
+                base = _em_jump(s) or 0
+                # The walk's pairs of logs short of the resume depth,
+                # unpriced; the step below adds the resume depth's.
+                for m in range(2, base):
+                    e = sigma + (2 * m - 1)
+                    log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
             m += 1
             e = sigma + (2 * m - 1)
             log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
@@ -236,25 +237,14 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
             break
     m, log_c, e, n = pick
     n = max(2, a, math.ceil(n))
-    log_n = math.log(n)
-    if base:
-        # Each step from the resume depth on adds a pair of logs, erring by
-        # at most 2 pair + 6 (both logs, their arguments and their sum) plus
-        # P for the running sum.  The four additions and the product e log N
-        # that form log_bound from P err by at most
-        # 5 (P + M log 4 pi^2 + e) + 2 e log N, so the bound is never below
-        # the one formed from the exact sum of logs.
-        err += ((m - base) * (log_poch + 4 * log(hypot(e + 1, t)) + 6)
-                + 5 * (log_poch + m * _LOG_4PI2 + e) + 2 * e * log_n)
-    log_bound = log_c + _U * err - e * log_n
+    log_bound = log_c - e * math.log(n)
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _em_jump(s: complex, log_poch: float):
-    """Where _em_plan's walk, at depth 1 with log |(s)_2| = log_poch, should
-    resume: (a depth about one before the guessed optimum, log |(s)_2M|
-    there by Stirling's series, a bound on its rounding in units of u), or
-    None where |s + 2| < 15, that depth is under 4 or the closed form fails."""
+def _em_jump(s: complex) -> int | None:
+    """The depth, about one before the guessed optimum, at which _em_plan's
+    walk from depth 1 should resume, or None where |s + 2| < 15, the closed
+    form's B is under 8 or that depth is under 4."""
     sigma, t = s.real, s.imag
     if (sigma + 2) * (sigma + 2) + t * t < _STIRLING_RADIUS**2:
         return None
@@ -279,33 +269,7 @@ def _em_jump(s: complex, log_poch: float):
     # the guess (e - sigma + 1) / 2, so resuming a depth before the guess,
     # rounded down after adding 0.05, leaves the walk 1 or 2 steps.
     m = int(min(0.5 * (e - sigma + 1), _MAX_CORRECTIONS) + 0.05) - 1
-    if not m >= 4:
-        return None
-    # log |(s)_2M| = log |(s)_2| + Re log Gamma(z1) - Re log Gamma(z0) with
-    # z0 = s + 2, z1 = z0 + h, h = 2M - 2.  By Stirling's series at
-    # |z0| >= 15, with h / z0 = w and log(1 + w) = A + iB, the difference is
-    # T3 + T2 + T1 + dS: T3 = (x0 - 1/2) A, T2 = -t B, T1 = h (log |z1| - 1)
-    # and dS = Re(S(z1) - S(z0)), formed without cancellation: T1, T2, T3 >= 0,
-    # |dS| < 0.012, and each S leaves out less than 1e-18.
-    # Rounding, in units of u (each operation, libm's too, erring by at most
-    # u): the complex division errs by at most 6 in each part of w, so
-    # wr (2 + wr) + wi^2 by 14, A by 15, B by 14, T3 by 17 and T2 by 15.
-    # log |z1| errs by 2 + log |z1| absolutely (x1 and hypot, then the log),
-    # log |z1| - 1 is exact and the product rounds once, so T1 errs by at
-    # most h (2 log |z1| + 1).  Adding the parts errs by
-    # 3 (T1 + T2 + T3 + 0.012), dS by under 3e-17.  Rounding x0 = sigma + 2
-    # moves the difference by at most u x0 (A + 0.14), under u (T3 + 2 + x0).
-    # log |(s)_2| errs by at most 3 log |(s)_2| (log |s| > 2.5 here), and
-    # adding it by the sum P.
-    h = 2 * m - 2
-    x0 = sigma + 2
-    w = h / complex(x0, t)
-    t3 = (x0 - 0.5) * (0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag))
-    t2 = -t * math.atan2(w.imag, 1 + w.real)
-    log_z1 = math.log(math.hypot(x0 + h, t))
-    ds = (_stirling_series(complex(x0 + h, t)) - _stirling_series(complex(x0, t))).real
-    p = log_poch + (t3 + t2 + h * (log_z1 - 1) + ds)
-    return m, p, 3 * log_poch + p + 21 * t3 + 18 * t2 + h * (5 * log_z1 - 2) + x0 + 3
+    return m if m >= 4 else None
 
 
 def _em_partial_rounding(s: complex, a: int, n_cut: int, log_n: float) -> float:
@@ -321,16 +285,12 @@ def _em_partial_rounding(s: complex, a: int, n_cut: int, log_n: float) -> float:
     # 2 |t| log n is at most 2 |t| log a on the n = a term and 2 |t| log N
     # on the rest, whose moduli sum to at most Z1: the partial sum errs by
     # at most u ((21 + N - a) Z + 2 |t| (log N Z1 + log a a^-sigma)).  At
-    # a = 1 the n = 1 term 1 ** -s is exactly 1 + 0j and log a = 0, so the
-    # phase share falls on Z1 alone, and log(N / a) is the caller's log N.
-    # Far right N = 2 and Z1 is about 1 / (sigma - 1), so that share passes
-    # 1e-8 only from |t| ~ 6e7 sigma; |t| multiplies last, so it overflows
-    # only where the share is infinite.
+    # a = 1 the n = 1 term 1 ** -s is exactly 1 + 0j and log a is exactly 0,
+    # so the phase share falls on Z1 alone.  Far right N = 2 and Z1 is about
+    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma;
+    # |t| multiplies last, so it overflows only where the share is infinite.
     sigma, head = s.real, a ** -s.real
-    if a == 1:
-        log_a, log_ratio = 0.0, log_n
-    else:
-        log_a, log_ratio = math.log(a), math.log(n_cut / a)
+    log_a, log_ratio = math.log(a), math.log(n_cut / a)
     x = (1 - sigma) * log_ratio
     z1 = a * head * math.expm1(min(x, 700.0)) / (1 - sigma) if x else log_ratio
     return (21 + n_cut - a) * (head + z1) + abs(s.imag) * (2 * (log_n * z1 + log_a * head))
@@ -404,8 +364,15 @@ def _zeta_functional(s: complex) -> EvalResult:
         return EvalResult(value, 2.0 * abs(s) ** 2 + 1e-16, 0)
     try:
         prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma(1 - s)
-    except OverflowError:
-        raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}") from None
+    except (OverflowError, ValueError, ZeroDivisionError):
+        # Where |t| log pi passes the double range, pi^(s - 1) meets cos(inf),
+        # which CPython reports as a ZeroDivisionError (see _check_exponent);
+        # where Gamma's phase does, cmath.rect raises a ValueError.
+        prefactor = math.nan
+    if not cmath.isfinite(prefactor):
+        # Where pi |t| / 2 does, sin(pi s / 2) is infinite without an
+        # OverflowError, and its product with Gamma(1 - s) = 0 is NaN.
+        raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}")
     # Multiplied, not divided: the prefactor is exactly 0 at the trivial zeros.
     inner = _zeta_euler_maclaurin(1 - s, abs(prefactor))
     value = prefactor * inner.value

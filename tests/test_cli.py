@@ -230,10 +230,13 @@ def test_divergence_reports_domain_error(capsys):
 
 
 def test_reflection_overflow_reports_domain_error(capsys):
-    code, out = run_cli(capsys, "eval", "--s=-200", "--k", "1")
-    doc = json.loads(out)
-    assert code == 1
-    assert doc["error"] == "PrecisionLoss"
+    # Gamma(1 - s) overflows at s = -200, and at 0.3 + 1.7e308i the phase
+    # |Im s| log pi of pi^(s - 1) does.
+    for s in ("--s=-200", "--s=0.3+1.7e308i"):
+        code, out = run_cli(capsys, "eval", s, "--k", "1")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["error"] == "PrecisionLoss", s
 
 
 def test_overflowing_multiple_of_s_reports_domain_error(capsys):

@@ -15,11 +15,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pzeta import cli  # noqa: E402
 
-DOUBLES = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 S = st.tuples(DOUBLES, DOUBLES).map(lambda z: [f"--s={z[0]!r}{z[1]:+}i"])
 
 
@@ -57,6 +57,11 @@ SUBCOMMANDS = {
     "genfun": [S, option("--max-part", ints(-1, 300)), option("--k-max", ints(-1, 6))],
 }
 
+# argv that once ended in a traceback, tried before the drawn ones: the
+# reflected branch raised a ZeroDivisionError from pi^(s - 1), or from the
+# inner sum's n^-s after a NaN prefactor.
+EXAMPLES = {"eval": [["eval", f"--s={s}", "--k=1"] for s in ("0.3+1.7e308i", "-16.2-1.49e308i")]}
+
 
 def argv_for(command):
     parts = [st.sampled_from([[], ["--format", "json"]])] + SUBCOMMANDS[command]
@@ -88,4 +93,6 @@ def test_cli_argv_ends_in_json_or_usage_error(command):
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out, argv
         assert (code == 1) == ("error" in doc or doc.get("verified") is False), (argv, doc)
 
+    for argv in EXAMPLES.get(command, ()):
+        check = example(argv)(check)
     check()
