@@ -37,6 +37,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
+from itertools import repeat
 from operator import add, mul
 
 from .errors import (
@@ -152,10 +153,6 @@ _MAX_CORRECTIONS = 80
 #: costs about two terms and the planner's step about three; call times
 #: with weights 4 and 8 agree within noise, so the value is not critical.
 _CORRECTION_COST = 4
-#: A depth-1 cutoff this far past a - 1 leaves a walk long enough that
-#: _em_jump costs less.  On high-k- and plane-like plans, 32 to 2048 plan
-#: within 8% of each other, so the value is not critical.
-_JUMP_GAIN = 512.0
 _LOG_4 = math.log(4.0)
 _LOG_2PI = math.log(2 * math.pi)
 _LOG_4PI2 = 2 * _LOG_2PI
@@ -188,88 +185,32 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
     valid for sigma + 2M > 1, since |B_2M| <= 4 (2M)! / (2 pi)^2M.  Picks
     the cheapest pair whose bound meets 1e-16, at a cost of the powers n^-s
     for a <= n <= N plus 4 per depth: the first depth M whose cost does not
-    fall at M + 1, walking the depths upwards.  The cost falls strictly up to
-    that depth and never again (checked against the walk from depth 1 in the
-    tests), so a walk resumed before it, once it has seen the cost fall,
-    ends there.
-
-    The walk stops as soon as the cutoff is within 4 of a - 1, since no
-    deeper depth can then cost less.  Where depth 1 leaves a long walk,
-    _em_jump may guess a depth a step or so short of the optimum: the walk
-    adds its pairs of logs up to there without pricing those depths, and
-    resumes.  If the cost does not fall at the first step, the guess may
-    lie past the optimum (as where the floor a - 1 binds) and the walk is
-    redone from depth 1.  Either way the log |(s)_2M| summed is the walk's,
-    so the plan, bound included, is the walk's bit for bit.  Every caller
-    has sigma >= 1/2, so no Pochhammer factor vanishes."""
+    fall at M + 1, walking the depths up from 1 with one pair of logs
+    log |s + 2M - 2| + log |s + 2M - 1| per depth.  The walk stops as soon
+    as the cutoff is within 4 of a - 1, since no deeper depth can then cost
+    less.  Every caller has sigma >= 1/2, so no Pochhammer factor
+    vanishes."""
     sigma, t = s.real, s.imag
     log, hypot, exp = math.log, math.hypot, math.exp
-    skipped = float(a - 1)
-    for may_jump in (True, False):
-        best, m, base = math.inf, 1, 0
-        e = sigma + 1
-        # log |s + 2M - 2| + log |s + 2M - 1|, apart so that neither overflows
-        log_poch = log(hypot(e - 1, t)) + log(hypot(e, t))
-        while True:
-            log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - log(e)
-            x = (log_c - _LOG_EM_TARGET) / e
-            n = exp(x if x < 700.0 else 700.0)
-            cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
-            if cost >= best:
-                break
-            best, pick = cost, (m, log_c, e, n)
-            # cost(M + 1) >= skipped + 4 (M + 1), in floating point too.
-            if cost <= skipped + _CORRECTION_COST * (m + 1) or m == _MAX_CORRECTIONS:
-                break
-            # Since cost(M) >= skipped + 4 M, a walk from depth 1 takes at
-            # most (n(1) - skipped) / 4 more steps.
-            if m == 1 and may_jump and n - skipped > _JUMP_GAIN:
-                base = _em_jump(s) or 0
-                # The walk's pairs of logs short of the resume depth,
-                # unpriced; the step below adds the resume depth's.
-                for m in range(2, base):
-                    e = sigma + (2 * m - 1)
-                    log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
-            m += 1
-            e = sigma + (2 * m - 1)
-            log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
-        if not base or pick[0] > base:
+    best, skipped, log_poch = math.inf, float(a - 1), 0.0
+    for m in range(1, _MAX_CORRECTIONS + 1):
+        e = sigma + (2 * m - 1)
+        # log |(s)_2M|, each new factor logged apart so that neither overflows
+        log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
+        log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - log(e)
+        x = (log_c - _LOG_EM_TARGET) / e
+        n = exp(x if x < 700.0 else 700.0)
+        cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
+        if cost >= best:
+            break
+        best, pick = cost, (m, log_c, e, n)
+        # cost(M + 1) >= skipped + 4 (M + 1), in floating point too.
+        if cost <= skipped + _CORRECTION_COST * (m + 1):
             break
     m, log_c, e, n = pick
     n = max(2, a, math.ceil(n))
     log_bound = log_c - e * math.log(n)
     return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
-
-
-def _em_jump(s: complex) -> int | None:
-    """The depth, about one before the guessed optimum, at which _em_plan's
-    walk from depth 1 should resume, or None where |s + 2| < 15, the closed
-    form's B is under 8 or that depth is under 4."""
-    sigma, t = s.real, s.imag
-    if (sigma + 2) * (sigma + 2) + t * t < _STIRLING_RADIUS**2:
-        return None
-    # Where |t| dominates, |s + j| ~ |s + m0| = 2 pi K over the depths
-    # that matter (m0 = 0.7 sqrt |t| is about the optimal M), so
-    # log n(M) ~ log K + B / e with B = log 4 - log 1e-16 - (sigma - 1) log K
-    # - log e.  The continuous optimum of n + 4M has n log(n / K) = 2e,
-    # that is v^2 e^v = 2B / K for v = B / e: v = 2 W(sqrt(B / 2K)),
-    # Lambert's W in Winitzki's form (within 2%), with
-    # log e ~ (log K + log 17.5) / 2 from the leading order
-    # e ~ sqrt(B K / 2), B ~ 35.
-    k = math.hypot(sigma + 0.7 * math.sqrt(abs(t)), t) / (2 * math.pi)
-    lk = math.log(k)
-    b = _LOG_4 - _LOG_EM_TARGET - (sigma - 0.5) * lk - 1.43
-    if b < 8:
-        # Too far from B ~ 35 for that log e: on seeded grids the walk
-        # then resumed 6 or more depths short, so it runs from depth 1.
-        return None
-    w = math.log1p(math.sqrt(0.5 * b / k))
-    e = 0.5 * b / (w * (1 - math.log1p(w) / (2 + w)))
-    # On seeded grids the walk's depth mostly lies within -0.9 and +1.0 of
-    # the guess (e - sigma + 1) / 2, so resuming a depth before the guess,
-    # rounded down after adding 0.05, leaves the walk 1 or 2 steps.
-    m = int(min(0.5 * (e - sigma + 1), _MAX_CORRECTIONS) + 0.05) - 1
-    return m if m >= 4 else None
 
 
 def _em_partial_rounding(s: complex, a: int, n_cut: int, log_n: float) -> float:
@@ -316,9 +257,8 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None)
         # refuse before summing.
         raise PrecisionLoss(f"rounding over N = {n_cut:.3g} terms at s = {s} alone "
                             f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
-    partial = 0j
-    for n in range(a, n_cut):
-        partial += n ** (-s)
+    # Added left to right from 0j, the order _em_partial_rounding bounds.
+    partial = sum(map(pow, range(a, n_cut), repeat(-s)), 0j)
     x = n_cut ** (-s)
     tail = n_cut * x / (s - 1) + 0.5 * x
     factors = _em_factors(depth + 1)

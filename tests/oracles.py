@@ -115,9 +115,9 @@ def one_minus_q_power(j: int) -> list[int]:
 
 
 def em_plan_walk(s: complex, a: int = 1) -> tuple[int, int, float]:
-    """numeric._em_plan as it was before it learned to jump: (N, M, bound)
-    by walking the depths up from M = 1, one log |s + j| pair per depth,
-    until the cost N + 4M (N floored at a - 1) stops falling."""
+    """numeric._em_plan without its early stop: (N, M, bound) by walking
+    the depths up from M = 1, one log |s + j| pair per depth, until the
+    cost N + 4M (N floored at a - 1) stops falling or M reaches 80."""
     sigma, t = s.real, s.imag
     best, skipped = math.inf, float(a - 1)
     log_poch = 0.0  # log |(s)_2M|

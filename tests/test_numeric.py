@@ -250,9 +250,8 @@ def test_zeta_cutoff_follows_height_and_real_part():
     assert riemann_zeta(120 + 400j).terms_used < 10
 
 
-# Planner inputs by depth: 1 (stopped early), 2, 4, 8 and 9 on either side
-# of |s + 2| = 15 (walked from depth 1 below it, resumed from a jump beyond
-# it), 80 (forced), and far right.
+# Planner inputs by depth: 1 (stopped early), 2, 4, 8, 9, 80 (forced), and
+# far right.
 PLAN_DEPTHS = ((40, 1), (12 + 3j, 2), (8 + 20j, 4), (3 + 14j, 8), (0.5 + 14.8j, 9),
                (0.5 + 1e4j, 80), (1e300, 1), (1e300 + 5j, 1))
 
@@ -272,46 +271,18 @@ def test_zeta_plan_meets_its_remainder_bound():
         assert _zeta_euler_maclaurin(s).est_error >= bound
 
 
-@pytest.fixture
-def jumps(monkeypatch):
-    # Every _em_jump outcome, in call order: the depth at which the walk
-    # resumes, or None.
-    outcomes = []
-    jump = numeric._em_jump
-    monkeypatch.setattr(numeric, "_em_jump", lambda *args: outcomes.append(jump(*args)) or outcomes[-1])
-    return outcomes
-
-
-def _resumed_plan(s, a, jumps):
-    # _em_plan(s, a) is em_plan_walk's plan, bound included, bit for bit.
-    # Returns the depth the walk resumed at, or None where it did not resume
-    # (no jump, or one past the optimum that the walk from depth 1 then
-    # redid).
-    jumps.clear()
-    plan = _em_plan(s, a)
-    assert plan == em_plan_walk(s, a), (s, a)
-    base = next((o for o in jumps if o), None)
-    return base if base is not None and base < plan[1] else None
-
-
-def test_plan_is_the_walks_plan(jumps):
-    # _em_plan against em_plan_walk, the walk up from depth 1 it replaces,
-    # on a wide grid and on one below Stirling's radius (|s + 2| < 15, where
-    # plans run up to depth 9), where no jump is taken.
+def test_plan_is_the_walks_plan():
+    # _em_plan against em_plan_walk, the walk up from depth 1 without the
+    # early stop, as whole (N, M, bound) tuples, on a wide grid and on one
+    # near the origin (|s + 2| < 15, where plans run up to depth 9).
     rng = random.Random(2051)
     wide = [complex(rng.uniform(0.5, 40), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5))
             for _ in range(1000)]
     near = [complex(rng.uniform(0.5, 13), 0.0 if i % 5 == 0 else rng.uniform(-15, 15))
             for i in range(500)]
-    resumed = below = 0
     for s in wide + near:
-        for a in (1, 2, 65, 10**6 + 1):
-            base = _resumed_plan(s, a, jumps)
-            resumed += base is not None
-            if abs(s + 2) < 15:
-                below += 1
-                assert base is None and not any(jumps), (s, a)
-    assert resumed > 150 and below > 1500
+        for a in (1, 2, 65, 1001, 10**6 + 1):
+            assert _em_plan(s, a) == em_plan_walk(s, a), (s, a)
 
 
 def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
@@ -438,9 +409,7 @@ def test_shifted_kernel_cutoff_starts_at_the_shift():
         return (math.log(4) + math.fsum(math.log(abs(s + j)) for j in range(2 * m))
                 - 2 * m * math.log(2 * math.pi) - math.log(e) - e * math.log(n))
 
-    # Depths 1, 2, 6 and 8 (where the jump's guess, blind to the floor, lies
-    # past the optimum and the walk is redone from depth 1), 80, and far
-    # right.
+    # Depths 1, 2, 6, 8, 80, and far right, each with the cutoff at its floor.
     for s in (2 + 0j, 1.1 + 0j, 3 + 50j, 0.6 + 2e5j, 0.6 + 4e5j, 0.6 + 4.925e6j, 1e300 + 0j):
         n, m, bound = _em_plan(s, 10**6 + 1)
         assert n == 10**6 + 1 and bound <= 1e-16
