@@ -157,6 +157,10 @@ _LOG_4 = math.log(4.0)
 _LOG_2PI = math.log(2 * math.pi)
 _LOG_4PI2 = 2 * _LOG_2PI
 _HALF_LOG_2PI = 0.5 * _LOG_2PI
+#: _em_plan's constants for each depth M = 1..80: M, then as floats 2M - 1,
+#: M log 4 pi^2, the cost 4M of M corrections and the cost 4 (M + 1).
+_EM_DEPTHS = tuple((m, float(2 * m - 1), m * _LOG_4PI2, float(_CORRECTION_COST * m),
+                    float(_CORRECTION_COST * (m + 1))) for m in range(1, _MAX_CORRECTIONS + 1))
 #: Stirling's coefficients B_2r / (2r (2r - 1)), r = 1..8.
 _STIRLING = tuple(float(bernoulli_numbers(16)[2 * r] / (2 * r * (2 * r - 1))) for r in range(1, 9))
 #: |z| from which the eight terms of _stirling_series are summed.
@@ -193,24 +197,23 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
     sigma, t = s.real, s.imag
     log, hypot, exp = math.log, math.hypot, math.exp
     best, skipped, log_poch = math.inf, float(a - 1), 0.0
-    for m in range(1, _MAX_CORRECTIONS + 1):
-        e = sigma + (2 * m - 1)
+    for m, odd, log_scale, corrections, next_corrections in _EM_DEPTHS:
+        e = sigma + odd
         # log |(s)_2M|, each new factor logged apart so that neither overflows
         log_poch += log(hypot(e - 1, t)) + log(hypot(e, t))
-        log_c = _LOG_4 + log_poch - m * _LOG_4PI2 - log(e)
+        log_c = _LOG_4 + log_poch - log_scale - log(e)
         x = (log_c - _LOG_EM_TARGET) / e
         n = exp(x if x < 700.0 else 700.0)
-        cost = (n if n > skipped else skipped) + _CORRECTION_COST * m
+        cost = (n if n > skipped else skipped) + corrections
         if cost >= best:
             break
-        best, pick = cost, (m, log_c, e, n)
+        best, depth, pick_c, pick_e, pick_n = cost, m, log_c, e, n
         # cost(M + 1) >= skipped + 4 (M + 1), in floating point too.
-        if cost <= skipped + _CORRECTION_COST * (m + 1):
+        if cost <= skipped + next_corrections:
             break
-    m, log_c, e, n = pick
-    n = max(2, a, math.ceil(n))
-    log_bound = log_c - e * math.log(n)
-    return n, m, math.exp(log_bound) if log_bound < 709.0 else math.inf
+    n = max(2, a, math.ceil(pick_n))
+    log_bound = pick_c - pick_e * math.log(n)
+    return n, depth, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def _em_partial_rounding(s: complex, a: int, n_cut: int, log_n: float) -> float:
@@ -351,10 +354,15 @@ def riemann_zeta(s: complex) -> EvalResult:
     from about |Im s| = 3 10^4, and before any term is summed once the
     partial sum's share of the rounding bound alone passes it.  Non-finite
     s, or an s whose |s - 1| passes the double range, raises DomainError.
+    Every check past finiteness, and the branch, are _zeta's, the dispatch
+    that partition_zeta_family shares for its factors zeta(j s).
     """
-    s = _finite_arg(s)
-    # |s - 1| as abs() forms it, which raises a raw OverflowError where that
-    # passes the double range.
+    return _zeta(_finite_arg(s))
+
+
+def _zeta(s: complex) -> EvalResult:
+    # riemann_zeta at a finite s.  |s - 1| as abs() forms it, which raises a
+    # raw OverflowError where that passes the double range.
     distance = math.hypot(s.real - 1, s.imag)
     if distance == math.inf:
         raise DomainError(f"|s - 1| passes the double range at s = {s}")
@@ -382,20 +390,21 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     k = 0 returns exactly 1.  Rejects s within POLE_EXCLUSION_RADIUS of any
     pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j,
     and a finite s whose multiple j s, or its distance to 1, overflows with
-    DomainError.
+    DomainError.  Each factor is _zeta(j s), riemann_zeta's dispatch past
+    its finiteness check, so it fails as riemann_zeta(j s) does.
     """
     s = _finite_arg(s)
     if k < 0:
         raise ValueError("k must be >= 0")
     x, y = s.real, s.imag
     for j in range(1, k + 1):
-        # |s - 1/j| without abs()'s OverflowError; riemann_zeta refuses an
+        # |s - 1/j| without abs()'s OverflowError; _zeta refuses an
         # s past the double range.
         if math.hypot(x - 1 / j, y) < POLE_EXCLUSION_RADIUS:
             raise PoleProximity(j)
         if not cmath.isfinite(j * s):
             raise DomainError(f"j s overflows at j = {j}, s = {s}")
-    zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
+    zetas = [_zeta(j * s) for j in range(1, k + 1)]
     value = complete_homogeneous([z.value for z in zetas], 1 + 0j)[k]
     a = [abs(z.value) for z in zetas]
     e = [z.est_error for z in zetas]

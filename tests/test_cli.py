@@ -3,6 +3,7 @@ stability, exit codes, and the text renderer."""
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -70,19 +71,31 @@ def test_exact_pinned_bytes_digest(capsys):
 
 
 def test_exact_past_the_int_digit_limit(capsys):
-    # The coefficient's denominator has 4,445 digits, past the 4,300 that
-    # str(int) and int(str) accept by default.
-    code, out = run_cli(capsys, "exact", "--m", "40", "--k", "22")
-    assert code == 0
-    doc = json.loads(out)
+    # (40, 22)'s denominator has 4,445 digits, past the 4,300 that str(int)
+    # and int(str) accept by default.  Seeded pairs with k <= 25 and
+    # 2mk <= 1800 reuse most of its Bernoulli numbers; some pass the limit
+    # and some stay below it.
+    rng = random.Random(4301)
+    pairs = [(40, 22)]
+    for _ in range(6):
+        k = rng.randint(1, 25)
+        pairs.append((900 // k - rng.randint(0, 900 // k // 10), k))
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        coeff = Fraction(doc["coeff"])
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert coeff == partition_zeta_exact(40, 22).coeff
-    assert doc["pi_power"] == 80 * 22
+    past = 0
+    for m, k in pairs:
+        assert 2 * m * k <= 1800
+        code, out = run_cli(capsys, "exact", "--m", str(m), "--k", str(k))
+        assert code == 0, (m, k)
+        doc = json.loads(out)
+        past += len(doc["coeff"].partition("/")[2]) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            coeff = Fraction(doc["coeff"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert coeff == partition_zeta_exact(m, k).coeff, (m, k)
+        assert doc["pi_power"] == 2 * m * k
+    assert past >= 3
 
 
 def test_macmahon_k2_pinned_bytes(capsys):

@@ -285,6 +285,22 @@ def test_plan_is_the_walks_plan():
             assert _em_plan(s, a) == em_plan_walk(s, a), (s, a)
 
 
+def test_every_row_of_the_depth_table_plans_as_the_walk():
+    # _em_plan reads each depth's constants from numeric._EM_DEPTHS.  This
+    # scan reaches every depth 1..80 at a = 1; at each, every plan is
+    # em_plan_walk's, which forms the constants afresh, as a whole tuple.
+    by_depth = {}
+    for sigma in (0.5, 1, 2, 5):
+        for i in range(4001):
+            s = complex(sigma, 10 ** (5 * i / 4000))  # |t| log-spaced in [1, 10^5]
+            by_depth.setdefault(_em_plan(s)[1], []).append(s)
+    assert sorted(by_depth) == list(range(1, 81))
+    for depth, points in by_depth.items():
+        for s in points:
+            for a in (1, 65, 10**6 + 1):
+                assert _em_plan(s, a) == em_plan_walk(s, a), (depth, s, a)
+
+
 def test_zeta_refuses_cutoffs_whose_rounding_alone_breaks_the_threshold():
     # N u > 1e-8: refused before summing, not after minutes of work.  The
     # reflected branch checks its prefactor before the inner sum.
@@ -507,6 +523,41 @@ def test_family_pole_proximity_names_the_factor():
 def test_family_names_the_multiple_of_s_that_overflows():
     with pytest.raises(DomainError, match=r"j = 2, s = \(1e\+308\+0j\)"):
         partition_zeta_family(1e308, 3)
+
+
+def test_family_factor_failures_are_riemann_zetas():
+    # F_k fails on its first refused factor zeta(j0 s) with riemann_zeta's
+    # own error: the same type and message and, for PrecisionLoss, the same
+    # partial.  Seeded left of the critical line, where factors are refused
+    # before and after summing and on the reflection prefactor, and at
+    # |s| near the double range, where |j s - 1| overflows.
+    rng = random.Random(2502)
+    points = [(complex(rng.uniform(-3, 0.5), rng.choice((-1, 1)) * 10 ** rng.uniform(-1, 3)),
+               rng.randint(2, 20)) for _ in range(300)]
+    for _ in range(100):
+        k = rng.randint(1, 3)
+        re, im = (rng.choice((-1, 1)) * rng.uniform(0.5, 0.99) * 1.79e308 / k for _ in "ri")
+        points.append((complex(re, im), k))  # k s finite, |k s| not always
+    kinds = set()
+    for s, k in points:
+        for j0 in range(1, k + 1):
+            try:
+                riemann_zeta(j0 * s)
+            except DomainError as exc:
+                want = exc
+                break
+        else:
+            continue
+        if (any(math.hypot(s.real - 1 / j, s.imag) < numeric.POLE_EXCLUSION_RADIUS for j in range(1, k + 1))
+                or not all(cmath.isfinite(j * s) for j in range(1, k + 1))):
+            continue  # the family's own checks refuse first
+        with pytest.raises(DomainError) as exc:
+            partition_zeta_family(s, k)
+        got = exc.value
+        assert (type(got), str(got)) == (type(want), str(want)), (s, k, j0)
+        assert repr(getattr(got, "partial", None)) == repr(getattr(want, "partial", None)), (s, k, j0)
+        kinds.add((type(want).__name__, getattr(want, "partial", None) is None))
+    assert kinds == {("PrecisionLoss", True), ("PrecisionLoss", False), ("DomainError", True)}
 
 
 def test_family_rejects_negative_length():
