@@ -9,18 +9,20 @@ Hurwitz values zeta(js, a) for the tails of the built-in Euler products.
 
 All floating point is double precision.  Every evaluation returns an
 EvalResult carrying an absolute error bound (heuristic only for the Euler
-products' tail).  For zeta it is the Euler-Maclaurin remainder bound plus
-a derived rounding bound (on the reflected branch, with Gamma by Stirling's
-series and a proven remainder); zeta results whose bound exceeds
-PRECISION_LOSS_THRESHOLD are not returned but raised as PrecisionLoss,
-with the untrusted value attached when one was computed (a bound whose
-rounding share alone is too large refuses before summing).  A direct
-sum refuses the same way, with its value attached, once the phase share
-of its rounding bound alone passes the threshold; the generating-function
-coefficients and the Euler products refuse on that share before summing.
-Non-finite s raises DomainError on every public entry, and so does an s
-for which s log n overflows in the routines that form n^-s up to a
-caller's cutoff.
+products' tail).  Each rounding bound on a sum of powers n^-s rests on one
+model, proved once in _power_rounding: a computed n^-s errs by at most
+(2 |Im s| log n + 20) u relative, u = 2^-53, as its phase Im(s) log n is
+rounded twice.  For zeta est_error is the Euler-Maclaurin remainder bound
+plus that rounding bound (on the reflected branch, with Gamma by
+Stirling's series and a proven remainder); zeta results whose bound
+exceeds PRECISION_LOSS_THRESHOLD are not returned but raised as
+PrecisionLoss, with the untrusted value attached when one was computed.
+One gate refuses on a rounding share alone: zeta's partial sum, and the
+phase share of the generating-function coefficients and the Euler
+products, before summing; a direct sum's phase share after, with its
+value attached.  Non-finite s raises DomainError on every public entry,
+and so does an s for which s log n overflows in the routines that form
+n^-s up to a caller's cutoff.
 
 numpy is imported only inside _bounded_part_sums (the kernel of
 restricted_genfun_coeffs and direct_sum_truncated),
@@ -58,6 +60,7 @@ POLE_EXCLUSION_RADIUS = 1e-9
 PRECISION_LOSS_THRESHOLD = 1e-8
 _PHASE_LOSS = ("rounding of the phases Im(s) log n for n <= {} at s = {} alone exceeds "
                f"{PRECISION_LOSS_THRESHOLD:.0e}")
+_SUM_LOSS = f"rounding over N = {{:.3g}} terms at s = {{}} alone exceeds {PRECISION_LOSS_THRESHOLD:.0e}"
 
 
 class EvalResult(namedtuple("EvalResult", "value est_error terms_used")):
@@ -90,25 +93,28 @@ def _finite_arg(s: complex) -> complex:
     return s
 
 
-def _check_exponent(s: complex, n_max: int) -> None:
-    # n^-s = exp(-s log n).  Where the phase Im(s) log n leaves the double
-    # range CPython reports cos(inf) as a ZeroDivisionError and numpy returns
-    # NaN; where Re(s) log n does, numpy warns of an overflow.
-    if not cmath.isfinite(s * math.log(n_max)):
-        raise DomainError(f"s log n overflows for n <= {n_max}, s = {s}")
-
-
 def _convergent_arg(s: complex, n_max: int, sizes_ok: bool, sizes: str) -> complex:
     # The checks of the sums and products over n <= n_max that need
     # Re(s) > 1, in order: s finite, Re(s) > 1, the sizes valid (else a
-    # ValueError saying ``sizes``), s log n_max in the double range.
+    # ValueError saying ``sizes``), s log n_max in the double range.  For
+    # n^-s = exp(-s log n): where the phase Im(s) log n leaves that range
+    # CPython reports cos(inf) as a ZeroDivisionError and numpy returns NaN;
+    # where Re(s) log n does, numpy warns of an overflow.
     s = _finite_arg(s)
     if s.real <= 1:
         raise DivergenceRegion(f"requires Re(s) > 1, got {s.real}")
     if not sizes_ok:
         raise ValueError(sizes)
-    _check_exponent(s, n_max)
+    if not cmath.isfinite(s * math.log(n_max)):
+        raise DomainError(f"s log n overflows for n <= {n_max}, s = {s}")
     return s
+
+
+def _refuse_past(share: float, template: str, n: int, s: complex, partial=None) -> None:
+    # The one gate on a rounding share: PrecisionLoss where it alone passes
+    # PRECISION_LOSS_THRESHOLD, its message formatted from (n, s) only then.
+    if share > PRECISION_LOSS_THRESHOLD:
+        raise PrecisionLoss(template.format(n, s), partial=partial)
 
 
 def _trusted(result: EvalResult) -> EvalResult:
@@ -216,28 +222,39 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
     return n, depth, math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def _em_partial_rounding(s: complex, a: int, n_cut: int, log_n: float) -> float:
-    """Rounding bound, in units of u, of the partial sum of n^-s over
-    a <= n < n_cut, given log_n = log(n_cut)."""
-    # CPython forms n^-s as n^-sigma (cos, sin)(t log n), two roundings in
-    # the phase, so n^-s carries a relative error of at most
-    # 2 |t| log n + c; c = 20 covers pow, cos/sin, the products and the
-    # repeated squaring CPython uses for integer s <= 100.  The N - a terms
-    # sum to Z = sum_{a<=n<N} n^-sigma <= a^-sigma + Z1, with
-    # Z1 = int_a^N x^-sigma = a^(1-sigma) (e^((1-sigma) log(N/a)) - 1) / (1 - sigma),
-    # and adding each one errs by at most |S_k| <= Z.  The phase share
-    # 2 |t| log n is at most 2 |t| log a on the n = a term and 2 |t| log N
-    # on the rest, whose moduli sum to at most Z1: the partial sum errs by
-    # at most u ((21 + N - a) Z + 2 |t| (log N Z1 + log a a^-sigma)).  At
-    # a = 1 the n = 1 term 1 ** -s is exactly 1 + 0j and log a is exactly 0,
-    # so the phase share falls on Z1 alone.  Far right N = 2 and Z1 is about
-    # 1 / (sigma - 1), so that share passes 1e-8 only from |t| ~ 6e7 sigma;
-    # |t| multiplies last, so it overflows only where the share is infinite.
+def _power_rounding(s: complex, a: int, n_cut: int, log_n: float) -> tuple[float, float, float]:
+    """The rounding model of n^-s, for the terms a <= n <= N = n_cut given
+    log_n = log N: (2 |t| log N, Z, P), t = Im(s), with
+
+        Z = a^-sigma + Z1 >= sum n^-sigma,  Z1 = int_a^N x^-sigma dx,
+        P = 2 |t| (log N Z1 + log a a^-sigma) >= sum 2 |t| log n n^-sigma.
+    """
+    # CPython forms n^-s as n^-sigma (cos, sin)(t log n), and numpy its
+    # phase as s.imag * log(n): two roundings in t log n, so each n^-s has a
+    # relative error of at most (2 |t| log n + 20) u; 20 covers pow,
+    # cos/sin, the products and the repeated squaring CPython uses for
+    # integer s <= 100.  The first term is the n = a one; each later one is
+    # at most int_(n-1)^n x^-sigma, so they sum to at most
+    # Z1 = a a^-sigma expm1((1 - sigma) log(N/a)) / (1 - sigma) (log(N/a) at
+    # sigma = 1) with phases 2 |t| log n <= 2 |t| log N.  At a = 1 the n = 1
+    # term is exactly 1 + 0j and log a is exactly 0, so P falls on Z1
+    # alone; |t| multiplies last, so P overflows only where it is infinite.
     sigma, head = s.real, a ** -s.real
-    log_a, log_ratio = math.log(a), math.log(n_cut / a)
+    log_ratio = math.log(n_cut / a)
     x = (1 - sigma) * log_ratio
     z1 = a * head * math.expm1(min(x, 700.0)) / (1 - sigma) if x else log_ratio
-    return (21 + n_cut - a) * (head + z1) + abs(s.imag) * (2 * (log_n * z1 + log_a * head))
+    t = abs(s.imag)
+    return t * (2 * log_n), head + z1, t * (2 * (log_n * z1 + math.log(a) * head))
+
+
+def _em_partial_rounding(s: complex, a: int, n_cut: int) -> tuple[float, float]:
+    """(2 |t| log N, the rounding bound in units of u of the partial sum of
+    n^-s over a <= n < N = n_cut) from _power_rounding: (21 + N - a) Z + P,
+    the model's 20 on each term and the N - a additions from 0j, each
+    erring by at most |S_k| <= Z.  Far right N = 2 and Z1 is about
+    1 / (sigma - 1), so P passes 1e-8 / u only from |t| ~ 6e7 sigma."""
+    phase, z, p = _power_rounding(s, a, n_cut, math.log(n_cut))
+    return phase, (21 + n_cut - a) * z + p
 
 
 def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None) -> EvalResult:
@@ -248,18 +265,12 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None)
     # result by a factor of modulus ``scale``.
     n_cut, depth, bound = plan or _em_plan(s, a)
     # Rounding, in units of u: the partial sum's share from
-    # _em_partial_rounding.  The integral and half-term carry the error of
-    # N^-s (2 |t| log N + 20) plus a few roundings; correction r adds at
-    # most 9r more in w and its Bernoulli factor, and summing M corrections
-    # M more.
-    log_n = math.log(n_cut)
-    phase = abs(s.imag) * (2 * log_n)
-    summed = _em_partial_rounding(s, a, n_cut, log_n)
-    if scale * (_U * summed) > PRECISION_LOSS_THRESHOLD:
-        # The partial sum's share of the rounding bound alone is too large:
-        # refuse before summing.
-        raise PrecisionLoss(f"rounding over N = {n_cut:.3g} terms at s = {s} alone "
-                            f"exceeds {PRECISION_LOSS_THRESHOLD:.0e}")
+    # _em_partial_rounding, refused before summing where it alone is too
+    # large.  The integral and half-term carry the model's error of N^-s,
+    # 2 |t| log N + 20, plus a few roundings; correction r adds at most 9r
+    # more in w and its Bernoulli factor, and summing M corrections M more.
+    phase, summed = _em_partial_rounding(s, a, n_cut)
+    _refuse_past(scale * (_U * summed), _SUM_LOSS, n_cut, s)
     # Added left to right from 0j, the order _em_partial_rounding bounds.
     partial = sum(map(pow, range(a, n_cut), repeat(-s)), 0j)
     x = n_cut ** (-s)
@@ -309,7 +320,7 @@ def _zeta_functional(s: complex) -> EvalResult:
         prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma(1 - s)
     except (OverflowError, ValueError, ZeroDivisionError):
         # Where |t| log pi passes the double range, pi^(s - 1) meets cos(inf),
-        # which CPython reports as a ZeroDivisionError (see _check_exponent);
+        # which CPython reports as a ZeroDivisionError (see _convergent_arg);
         # where Gamma's phase does, cmath.rect raises a ValueError.
         prefactor = math.nan
     if not cmath.isfinite(prefactor):
@@ -437,25 +448,23 @@ def _bounded_part_sums(s: complex, max_part: int, k_max: int) -> list[complex]:
 def _kernel_rounding(s: complex, k: int, max_part: int) -> tuple[float, float]:
     """Rounding bound of _bounded_part_sums's z^k coefficient, as (the share
     of the phases Im(s) log n, the whole bound)."""
-    # Passes on |n^-s| = n^-sigma bound every exact |f_t(n)| by
-    # h_t(1, ..., M^-sigma) <= zeta_M(sigma)^t <= (1 + Z1)^t, with
-    # Z1 = int_1^M x^-sigma dx = (1 - M^(1-sigma)) / (sigma - 1).  In units
-    # of u, per pass and relative to that bound: n^-s = exp(-s log n) errs
-    # by 2 |t| log n in its phase, as in zeta's rounding bound, and by
-    # 2 sigma log n in its modulus, which weighted by n^-sigma averages under
-    # log M (under 2.3 from sigma = 2 on; checked numerically for
-    # M <= 10^7); log, exp, cos/sin and the product w f add under 20; the
-    # sequential cumsum adds u |partial sum| per step (componentwise, so in
-    # modulus too), under M in all.  The k passes add up: phase share
-    # 2 k u |t| log M (1 + Z1)^k, whole bound
-    # k u ((2 |t| + 1) log M + M + 20) (1 + Z1)^k.
+    # With (2 |t| log M, Z, _) from _power_rounding over 1 <= n <= M, every
+    # exact |f_t(n)| is at most h_t(1, ..., M^-sigma) <= Z^t.  In units of
+    # u, per pass and relative to that bound: the model's phase share is at
+    # most 2 |t| log M; numpy's modulus exp(-sigma log n) errs by
+    # 2 sigma log n, which weighted by n^-sigma averages under log M (under
+    # 2.3 from sigma = 2 on; checked numerically for M <= 10^7); the model's
+    # 20 covers the rest with the product w f; the sequential cumsum adds
+    # u |partial sum| per step (componentwise, so in modulus too), under M
+    # in all.  The k passes add up: phase share 2 k u |t| log M Z^k, whole
+    # bound k u ((2 |t| + 1) log M + M + 20) Z^k.
     log_m = math.log(max_part)
-    z1 = math.expm1((1 - s.real) * log_m) / (1 - s.real)
+    top, z, _ = _power_rounding(s, 1, max_part, log_m)
     try:
-        growth = k * _U * (1 + z1) ** k
+        growth = k * _U * z ** k
     except OverflowError:
         growth = math.inf
-    phase = 2 * abs(s.imag) * log_m * growth if s.imag else 0.0
+    phase = top * growth if s.imag else 0.0
     return phase, phase + (log_m + max_part + 20) * growth
 
 
@@ -476,9 +485,7 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     """
     s = _convergent_arg(s, max_part, max_part >= 1 and k_max >= 0,
                         "max_part must be >= 1 and k_max >= 0")
-    phase, _ = _kernel_rounding(s, k_max, max_part)
-    if phase > PRECISION_LOSS_THRESHOLD:
-        raise PrecisionLoss(_PHASE_LOSS.format(max_part, s))
+    _refuse_past(_kernel_rounding(s, k_max, max_part)[0], _PHASE_LOSS, max_part, s)
     return _bounded_part_sums(s, max_part, k_max)
 
 
@@ -489,20 +496,18 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
 
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
     on the distance to the full length-k sum, plus the rounding of the
-    kernel, k u ((2 |Im s| + 1) log M + M + 20) (1 + Z1)^k with
-    1 + Z1 = 1 + (1 - M^(1-sigma)) / (sigma - 1) >= zeta_M(sigma).  Its
-    share 2 k u |Im s| log M (1 + Z1)^k comes from the phases Im(s) log n,
-    formed in double as in zeta's rounding bound; when that share passes
-    PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised with the untrusted
-    result attached.
+    kernel, k u ((2 |Im s| + 1) log M + M + 20) Z^k, Z >= zeta_M(sigma) from
+    the module's one rounding model of n^-s.  Its share
+    2 k u |Im s| log M Z^k comes from the phases Im(s) log n; when that
+    share passes PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised with the
+    untrusted result attached.
     """
     est = truncation_error_estimate(s, k, max_part)
     s = complex(s)
     phase, rounding = _kernel_rounding(s, k, max_part)
     value = _bounded_part_sums(s, max_part, k)[k]
     result = EvalResult(value, est + rounding, k * max_part)
-    if phase > PRECISION_LOSS_THRESHOLD:
-        raise PrecisionLoss(_PHASE_LOSS.format(max_part, s), partial=result)
+    _refuse_past(phase, _PHASE_LOSS, max_part, s, result)
     return _finite(result)
 
 
@@ -606,18 +611,12 @@ def _subset_parts(admits: Callable, max_factor: int):
 
 def _phase_rounding(s: complex, top: int) -> float:
     """Bound on how far rounding the phases Im(s) log n moves the sum of
-    log(1 -+ n^-s) over any parts 2 <= n <= top: 0 at real s, and
-    PrecisionLoss where it passes PRECISION_LOSS_THRESHOLD."""
-    # x = -+n^-s errs by (2 |t| log n + 20) u relative, as in zeta's
-    # rounding bound, and |1 + x| >= 1/2 from n = 2 on, so the phases move
-    # log(1 + x) by at most 4 |t| u log n n^-sigma and the sum by at most
-    # 4 |t| u log top Z1, Z1 = int_1^top x^-sigma; the rest is within the
-    # 1e-13 allowed for rounding.  |t| multiplies 4 u first, so the share
-    # is 0 at top = 1 however large |t| is.
-    sigma, log_top = s.real, math.log(top)
-    share = 4 * _U * abs(s.imag) * log_top * -math.expm1((1 - sigma) * log_top) / (sigma - 1)
-    if share > PRECISION_LOSS_THRESHOLD:
-        raise PrecisionLoss(_PHASE_LOSS.format(top, s))
+    log(1 -+ n^-s) over any parts 2 <= n <= top: 2 u P over 1 <= n <= top
+    (_power_rounding), as |1 -+ n^-s| >= 1/2 from n = 2 on; the model's 20 u
+    is within the 1e-13 allowed for rounding.  0 at real s; PrecisionLoss
+    where it passes PRECISION_LOSS_THRESHOLD."""
+    share = 2 * _U * _power_rounding(s, 1, top, math.log(top))[2]
+    _refuse_past(share, _PHASE_LOSS, top, s)
     return share
 
 
@@ -651,7 +650,7 @@ def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
         for a in (_HEAD + 1, max_factor + 1):
             plan = _em_plan(z, a)
             cost += plan[0] - a + 1 + _CORRECTION_COST * plan[1]
-            share += _em_partial_rounding(z, a, plan[0], math.log(plan[0])) / j
+            share += _em_partial_rounding(z, a, plan[0])[1] / j
             plans.append((a, plan))
         if cost >= max_factor or _U * share > PRECISION_LOSS_THRESHOLD:
             top, tail = max_factor, []

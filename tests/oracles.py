@@ -12,7 +12,9 @@ polynomials by schoolbook convolution, and em_plan_walk plans the
 Euler-Maclaurin kernel by walking every correction depth up from 1.
 complete_homogeneous_loop and family_error_loop run the Newton recurrence
 and partition_zeta_family's error recurrence as plain loops over j, one
-generator sum per step.
+generator sum per step.  family_at_negative_integer gives F_k(-n) exactly
+from the rational zeta(-m) = -B_(m+1)/(m+1), through that plain loop on
+Fractions.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+from pzeta.exact import bernoulli_numbers
 from pzeta.numeric import _CORRECTION_COST, _LOG_4, _LOG_4PI2, _LOG_EM_TARGET, _MAX_CORRECTIONS
 from pzeta.partitions import enumerate_partitions_of_size
 
@@ -158,3 +161,12 @@ def family_error_loop(a: Sequence[float], e: Sequence[float], k: int) -> float:
         acc = sum((a[j - 1] + e[j - 1]) * D[n - j] + e[j - 1] * A[n - j] for j in range(1, n + 1))
         D.append(acc / n + (n + 2) * 2.5e-16 * A[n])
     return D[k]
+
+
+def family_at_negative_integer(n: int, k: int) -> Fraction:
+    """F_k(-n) = h_k(zeta(-n), ..., zeta(-kn)) as an exact Fraction, n >= 1,
+    with zeta(-m) = -B_(m+1)/(m+1) (0 at even m) and h_k from
+    complete_homogeneous_loop: no float, Gamma or reflection enters."""
+    bs = bernoulli_numbers(k * n + 1)
+    zetas = [-bs[j * n + 1] / (j * n + 1) for j in range(1, k + 1)]
+    return complete_homogeneous_loop(zetas, Fraction(1))[k]

@@ -407,13 +407,39 @@ def test_shifted_kernel_at_one_is_the_direct_branch_bit_for_bit():
 
 def test_zeta_est_error_is_unchanged_by_the_shift():
     # frozen: riemann_zeta's est_error before the kernel took a start a,
-    # when the a = 1 rounding bound was formed inline; _em_partial_rounding
+    # when the a = 1 rounding bound was formed inline; _power_rounding
     # rounds its phase share differently.  That share dominates the first
     # and fifth values.
     for s, want in ((0.5 + 1e4j, 1.4991654539253307e-09), (2 + 3j, 9.300088570074688e-15),
                     (0.7 + 300j, 3.389988922042384e-12), (30 + 1e3j, 1.519496917190814e-14),
                     (1.5 + 2e5j, 9.441301501719332e-10), (-0.5 + 3j, 3.307145400857841e-14)):
         assert riemann_zeta(s).est_error == pytest.approx(want, rel=1e-9), s
+
+
+def test_est_error_of_the_other_rounding_model_users_is_frozen():
+    # frozen: est_error at complex s of the direct sum, the shifted kernel
+    # at a > 1 and the three product kinds, each built on the rounding model
+    # of n^-s in numeric._power_rounding; a change to that model shows here.
+    distinct, not_one = ProductForm.distinct_parts(), ProductForm.parts_not_one()
+    even = ProductForm.subset_parts(lambda n: n % 2 == 0)
+    mod3 = ProductForm.subset_parts(lambda n: n % 3 == 2)
+    cases = (
+        (direct_sum_truncated, (2.5 + 1j, 3, 2000), 1.3413340661504192e-05),
+        (direct_sum_truncated, (4 + 1e5j, 2, 1000), 9.065414824219168e-10),
+        (direct_sum_truncated, (6 + 40j, 3, 300), 5.352597593557823e-13),
+        (_zeta_euler_maclaurin, (3 + 50j, 1.0, 65), 1.3983073092498813e-17),
+        (_zeta_euler_maclaurin, (2 + 1e3j, 1.0, 1001), 4.321962746129453e-17),
+        (_zeta_euler_maclaurin, (0.6 + 2e3j, 1.0, 65), 4.459374537868416e-11),
+        (_zeta_euler_maclaurin, (0.7 + 1e4j, 1.0, 1001), 1.0292671907114657e-10),
+        (euler_product_eval, (distinct, 2 + 30j, 10**6), 7.219890741408911e-12),
+        (euler_product_eval, (distinct, 1.5 + 2e4j, 5000), 3.365504090626198e-05),
+        (euler_product_eval, (not_one, 3 + 1e3j, 20000), 1.4658145010377423e-12),
+        (euler_product_eval, (not_one, 2 + 1e6j, 1000), 3.7723399070689738e-06),
+        (euler_product_eval, (even, 2 + 5j, 10**4), 2.4892763932894898e-08),
+        (euler_product_eval, (mod3, 1.5 - 1e4j, 1000), 0.00013598913815650185),
+    )
+    for call, args, want in cases:
+        assert call(*args).est_error == pytest.approx(want, rel=1e-12), (call.__name__, args)
 
 
 def test_shifted_kernel_cutoff_starts_at_the_shift():

@@ -1,6 +1,8 @@
 """The O(k^2) Newton recurrence behind both F_k routes, checked against the
 explicit partition-sum formula, and exact F_k(4) and F_k(6) against the
-s = 2 closed form through the square and cube roots of unity.
+s = 2 closed form through the square and cube roots of unity.  On the left
+half plane the numeric route is checked against exact F_k(-n) from the
+rational zeta(-m) (tests/oracles.py).
 
 The oracle below enumerates every partition of k and sums
 prod_j zeta(js)^{m_j} / (N(lambda) prod_j m_j!) term by term.  It lives only
@@ -16,8 +18,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from oracles import complete_homogeneous_loop, family_error_loop
-from pzeta.errors import DomainError
+from oracles import complete_homogeneous_loop, family_at_negative_integer, family_error_loop
+from pzeta.errors import DomainError, PrecisionLoss
 from pzeta.exact import (
     PiPower,
     partition_zeta_exact,
@@ -218,3 +220,33 @@ def test_numeric_large_k_matches_exact():
     got = partition_zeta_family(4, 40)
     want = partition_zeta_exact(2, 40).to_float()
     assert abs(got.value - want) <= got.est_error + 1e-15 * abs(want)
+
+
+def test_numeric_at_negative_odd_integers_is_within_est_error_of_exact():
+    # F_k(-n) is rational; wherever the numeric route returns it (past the
+    # trust gate on every reflected factor) it must be within est_error.
+    returned = 0
+    for n in (1, 3, 5, 7, 9):
+        for k in range(1, 41):
+            try:
+                got = partition_zeta_family(-n, k)
+            except PrecisionLoss:
+                continue
+            returned += 1
+            exact = family_at_negative_integer(n, k)
+            err = math.hypot(float(Fraction(got.value.real) - exact), got.value.imag)
+            assert err <= got.est_error, (n, k, err, got.est_error)
+    assert returned
+
+
+def test_numeric_at_negative_even_integers_is_exactly_zero():
+    # The paper's trivial roots: every factor zeta(-2nj) is 0, and so is the
+    # numeric value wherever it returns.
+    for n in (1, 2, 3, 4):
+        for k in range(1, 41):
+            assert family_at_negative_integer(2 * n, k) == 0
+            try:
+                got = partition_zeta_family(-2 * n, k)
+            except PrecisionLoss:
+                continue
+            assert got.value == 0, (n, k, got)
