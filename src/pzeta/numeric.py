@@ -476,15 +476,16 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     f_t(n) = f_t(n-1) + n^-s f_(t-1)(n) is one cumulative sum per t, so the
     cost is k_max * max_part operations; no zeta or partition-sum formula
     enters, so it stays an independent oracle, pinned against explicit
-    enumeration in the tests.  Requires Re(s) > 1; non-finite s, or
+    enumeration in the tests.  Requires Re(s) > 1, 1 <= max_part < 2^53
+    (as euler_product_eval's max_factor) and k_max >= 0; non-finite s, or
     s log max_part past the double range, raises DomainError.  Where the
     rounding of the phases Im(s) log n alone could move the z^k_max
     coefficient by more than PRECISION_LOSS_THRESHOLD (the share
     direct_sum_truncated adds to its est_error), raises PrecisionLoss
     before summing.
     """
-    s = _convergent_arg(s, max_part, max_part >= 1 and k_max >= 0,
-                        "max_part must be >= 1 and k_max >= 0")
+    s = _convergent_arg(s, max_part, 1 <= max_part < 2**53 and k_max >= 0,
+                        "max_part must be >= 1 and below 2^53, and k_max >= 0")
     _refuse_past(_kernel_rounding(s, k_max, max_part)[0], _PHASE_LOSS, max_part, s)
     return _bounded_part_sums(s, max_part, k_max)
 
@@ -492,7 +493,7 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
 def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     """Direct sum of N(lambda)^(-s) over the partitions with exactly k parts,
     all parts <= max_part: the z^k coefficient of restricted_genfun_coeffs.
-    Requires Re(s) > 1.
+    Requires Re(s) > 1, k >= 1 and 1 <= max_part < 2^53.
 
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
     on the distance to the full length-k sum, plus the rounding of the
@@ -516,11 +517,12 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
     direct_sum_truncated(s, k, M) leaves out, sigma = Re(s): an omitted
     partition's largest part exceeds M, and T = M^(1-sigma)/(sigma-1) bounds
     those; the other parts add at most zeta(sigma) <= zeta_M(sigma) + T each,
-    zeta_M the sum of n^-sigma to M.  Infinite past the double range;
-    DomainError where s log M overflows."""
+    zeta_M the sum of n^-sigma to M.  Requires k >= 1 and 1 <= M < 2^53.
+    Infinite past the double range; DomainError where s log M overflows."""
+    s = _convergent_arg(s, max_part, k >= 1 and 1 <= max_part < 2**53,
+                        "k must be >= 1, and max_part >= 1 and below 2^53")
     import numpy as np
 
-    s = _convergent_arg(s, max_part, k >= 1 and max_part >= 1, "k and max_part must be >= 1")
     sigma = s.real
     n = np.arange(1, max_part + 1, dtype=np.float64)
     tail = max_part ** (1 - sigma) / (sigma - 1)

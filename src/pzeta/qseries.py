@@ -12,27 +12,31 @@ and the exponential partition identity
     exp(sum_j a_j x^j) = sum_k x^k sum over lambda of k of
                          prod_j a_j^{m_j} / m_j!
 
-The decomposition is checked on plain int coefficient lists.  With
-z_lambda = N(lambda) m_1!...m_k!, the weight k!/z_lambda counts the
-permutations of cycle type lambda, so it is an integer, and the partition
-side is summed in integers scaled by k!.  Every step divides a truncated
-series by (1 - q^j) in O(length) integer additions.  The two sides come
-back as TruncatedSeries, a read-only record of coefficients compared with
-==; the exact identity is that comparison at an order proven to decide it.
-The Faa di Bruno check runs the exponential's recurrence on Fraction
-coefficients against the partition sums, taken in one depth-first pass
-over the partitions of size <= order on ints scaled by order! den^order.
+Both are checked on plain ints; a Fraction is formed only where
+macmahon_rhs returns one.  With z_lambda = N(lambda) m_1!...m_k!, the
+weight k!/z_lambda counts the permutations of cycle type lambda, so it is
+an integer, and the partition side of the decomposition is summed in
+integers scaled by k!, in one depth-first pass over the parts in
+increasing order: partitions that share a prefix share its series, so
+each edge of the pass divides a truncated series by one (1 - q^j), in
+O(length) integer additions, and carries the weight down exactly.  The
+two sides come back as TruncatedSeries, a read-only record of
+coefficients compared with ==; the exact identity compares k! times the
+left side with the integer partition side at an order proven to decide
+it.  The Faa di Bruno check runs the exponential's recurrence and the
+partition sums, one depth-first pass over the partitions of size
+<= order, each on ints scaled by order! den^order (den the lcm of the
+a_j's denominators), and compares the two integer lists.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .numeric import restricted_genfun_coeffs  # noqa: F401  also public as qseries.restricted_genfun_coeffs
-from .partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
 class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs")):
@@ -49,17 +53,38 @@ def _divide_one_minus_q_power(c: list[int], j: int) -> None:
         c[n] += c[n - j]
 
 
-def _cycle_types(k: int) -> Iterator[tuple[int, Counter]]:
+def _cycle_type_terms(k: int, length: int) -> Iterator[tuple[int, list[int]]]:
     """For each partition lambda of k: the number k!/z_lambda of permutations
-    of cycle type lambda, z_lambda = N(lambda) m_1!...m_k!, together with the
-    multiplicity map."""
-    k_factorial = math.factorial(k)
-    for lam in enumerate_partitions_of_size(k):
-        mult = Counter(lam)
-        z = math.prod(lam)
-        for mj in mult.values():
-            z *= math.factorial(mj)
-        yield k_factorial // z, mult
+    of cycle type lambda, z_lambda = N(lambda) m_1!...m_k!, together with
+    1 / prod_j (1-q^j)^{m_j} modulo q^length.  One depth-first pass over the
+    parts in increasing order: partitions that share a prefix share its
+    series, so each edge divides by one (1 - q^j)."""
+    # Appending part j to reach multiplicity m takes z to z j m, so the
+    # child's weight is the parent's // (j m).  The division is exact: a
+    # prefix mu of size <= k has z_mu dividing |mu|! (the quotient counts
+    # the permutations of cycle type mu), which divides k!.  A prefix whose
+    # last part is j and whose rest r is left can be completed exactly when
+    # r == 0 or r >= j, so from rest r the next part is at most r // 2, or r.
+    stack = [([1] + [0] * (length - 1), k, 1, 0, math.factorial(k))]
+    while stack:
+        c, rest, last, mult, w = stack.pop()
+        if not rest:
+            yield w, c
+            continue
+        for j in [*range(last, rest // 2 + 1), rest]:
+            child = c.copy()
+            _divide_one_minus_q_power(child, j)
+            m = mult + 1 if j == last else 1
+            stack.append((child, rest - j, j, m, w // (j * m)))
+
+
+def _partition_side(k: int, order: int) -> list[int]:
+    """k! times the partition side of the decomposition modulo q^(order+1):
+    the sum over lambda of k of (k!/z_lambda) q^k / prod_j (1-q^j)^{m_j}."""
+    total = [0] * (order + 1 - k)
+    for w, c in _cycle_type_terms(k, len(total)):
+        total = [t + w * x for t, x in zip(total, c)]
+    return [0] * k + total
 
 
 def _check_macmahon_args(k: int, order: int) -> None:
@@ -88,20 +113,12 @@ def macmahon_rhs(k: int, order: int) -> TruncatedSeries:
     q^k / (N(lambda) m_1!...m_k! (1-q)^{m_1} ... (1-q^k)^{m_k}),
     expanded modulo q^(order+1).
 
-    Each term is summed in integers scaled by k!, with weight k!/z_lambda,
-    and the total is divided by k! once at the end.
+    Summed in integers scaled by k! in one pass over the partitions
+    (_partition_side); each coefficient is divided by k! once at the end.
     """
     _check_macmahon_args(k, order)
-    total = [0] * (order + 1)
-    for count, mult in _cycle_types(k):
-        term = [0] * (order + 1)
-        term[k] = count
-        for j, mj in mult.items():
-            for _ in range(mj):
-                _divide_one_minus_q_power(term, j)
-        total = [a + b for a, b in zip(total, term)]
     k_factorial = math.factorial(k)
-    return TruncatedSeries([Fraction(c, k_factorial) for c in total])
+    return TruncatedSeries([Fraction(c, k_factorial) for c in _partition_side(k, order)])
 
 
 def macmahon_exact_identity(k: int) -> bool:
@@ -110,8 +127,9 @@ def macmahon_exact_identity(k: int) -> bool:
         1 / ((1-q)...(1-q^k)) == sum over lambda of k of
             1 / (N(lambda) m_1!...m_k! prod_j (1-q^j)^{m_j})
 
-    identically, by comparing macmahon_lhs and macmahon_rhs through q^d,
-    d = sum_j j floor(k/j), an order at which agreement proves equality.
+    identically, by comparing k! macmahon_lhs with k! times the partition
+    side, both in integers, through q^d, d = sum_j j floor(k/j), an order
+    at which agreement proves equality.
     """
     # Why order d decides.  D = prod_j (1-q^j)^{floor(k/j)} has degree d and
     # every term's denominator divides it, so k! D (lhs - rhs) = q^k P with
@@ -123,17 +141,18 @@ def macmahon_exact_identity(k: int) -> bool:
     # through q^(d-k), so P = 0.  D(0) = 1 makes D a unit in Z[[q]], so then
     # lhs == rhs; and series that differ at any order already disprove it.
     d = sum(j * (k // j) for j in range(1, k + 1))
-    return macmahon_lhs(k, d) == macmahon_rhs(k, d)
+    k_factorial = math.factorial(k)
+    return [k_factorial * c for c in macmahon_lhs(k, d).coeffs] == _partition_side(k, d)
 
 
-def _exp_partition_sums(a: Sequence[Fraction], order: int) -> list[Fraction]:
+def _exp_partition_sums(a: Sequence[Fraction], order: int) -> list[int]:
     """[x^0..x^order] of exp(sum_j a_j x^j), a = a_1..a_order, as partition
-    sums: the x^k coefficient is the sum over lambda of k of
-    prod_j a_j^{m_j} / m_j!.  One depth-first pass on plain ints visits
-    every partition of size <= order once and adds one term for it; one
-    Fraction is reduced per coefficient at the end."""
-    # The scale.  With den the lcm of the denominators and num_j = a_j den,
-    # a partition lambda of length l carries
+    sums scaled by order! den^order, den the lcm of the denominators: the
+    x^k coefficient is the sum over lambda of k of prod_j a_j^{m_j} / m_j!.
+    One depth-first pass on plain ints visits every partition of size
+    <= order once and adds one term for it."""
+    # The scale.  With num_j = a_j den, a partition lambda of length l
+    # carries
     #     V(lambda) = order! den^(order - l) prod_j num_j^{m_j} / prod_j m_j!,
     # an integer: l <= |lambda| <= order, and prod_j m_j! divides l! (the
     # quotient is a multinomial coefficient), which divides order!.  So the
@@ -146,28 +165,46 @@ def _exp_partition_sums(a: Sequence[Fraction], order: int) -> list[Fraction]:
     # exact because V(child) is again an integer.
     den = math.lcm(*(c.denominator for c in a))
     num = [c.numerator * (den // c.denominator) for c in a]
-    scale = math.factorial(order) * den**order
     sums = [0] * (order + 1)
     # (size, last part, its multiplicity, V); the root's last part is order
     # with multiplicity 0, so its children all start at multiplicity 1.
-    stack = [(0, order, 0, scale)]
+    stack = [(0, order, 0, math.factorial(order) * den**order)]
     while stack:
         size, last, mult, v = stack.pop()
         sums[size] += v
         for j in range(1, min(last, order - size) + 1):
             m = mult + 1 if j == last else 1
             stack.append((size + j, j, m, v * num[j - 1] // (den * m)))
-    return [Fraction(t, scale) for t in sums]
+    return sums
+
+
+def _exp_recurrence(a: Sequence[Fraction], order: int) -> list[int]:
+    """[x^0..x^order] of exp(sum_j a_j x^j), a = a_1..a_order, by the
+    exponential's recurrence n b_n = sum_i i a_i b_(n-i), on ints scaled by
+    order! den^order, den the lcm of the denominators."""
+    # With num_i = a_i den and L_n = order! den^order b_n the recurrence is
+    #     L_n = (sum_i i num_i L_(n-i)) / (n den).
+    # Each L_n, n <= order, is an integer: it is the sum of the integers
+    # V(lambda) over the partitions of n (see _exp_partition_sums).  So the
+    # floor division below is exact.
+    den = math.lcm(*(c.denominator for c in a))
+    weighted = [i * c.numerator * (den // c.denominator) for i, c in enumerate(a, 1)]
+    out = [math.factorial(order) * den**order]
+    for n in range(1, order + 1):
+        out.append(sum(w * b for w, b in zip(weighted, reversed(out))) // (n * den))
+    return out
 
 
 def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
     """Verify the exponential partition identity through the given order.
 
     ``coeffs`` supplies a_1..a_order exactly (shorter sequences are padded
-    with zeros).  Expands exp(sum_j a_j x^j) by its recurrence on Fraction
-    coefficients and compares every x^k coefficient, k <= order, against
-    the partition sum over lambda of k of prod_j a_j^{m_j} / m_j!, summed
-    one integer term per partition (_exp_partition_sums).
+    with zeros).  Expands exp(sum_j a_j x^j) by its recurrence
+    (_exp_recurrence) and compares every x^k coefficient, k <= order,
+    against the partition sum over lambda of k of prod_j a_j^{m_j} / m_j!,
+    summed one term per partition (_exp_partition_sums).  Both sides are
+    plain ints at the same scale order! den^order, each computed from the
+    coefficients on its own, so the lists are compared directly.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -175,7 +212,4 @@ def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
     if len(a) > order:
         raise ValueError("more coefficients than the requested order")
     a += [Fraction(0)] * (order - len(a))
-    # exp's derivative recurrence n b_n = sum_i i a_i b_{n-i} is Newton's
-    # with power sums i a_i.
-    lhs = complete_homogeneous([j * a[j - 1] for j in range(1, order + 1)], Fraction(1))
-    return lhs == _exp_partition_sums(a, order)
+    return _exp_recurrence(a, order) == _exp_partition_sums(a, order)

@@ -79,6 +79,35 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# Sizes from 2^53, where n no longer converts to a double exactly, to far past
+# the double range, at an s where the sums converge and with every other
+# argument valid: the size alone decides, and it is refused before any sum.
+CONVERGENT_S = st.tuples(st.floats(min_value=1, exclude_min=True, allow_infinity=False),
+                         DOUBLES).map(lambda z: [f"--s={z[0]!r}{z[1]:+}i"])
+HUGE = ints(2**53, 2**2000)
+FORMS = st.one_of(st.sampled_from([["--form=even"], ["--form=distinct"], ["--form=not-one"]]),
+                  csv(st.integers(2, 40)).filter(bool).map(lambda xs: ["--form=subset", f"--subset={xs}"]))
+HUGE_SIZES = {
+    "oracle": [CONVERGENT_S, required("--k", ints(1, 6)), required("--max-part", HUGE)],
+    "genfun": [CONVERGENT_S, required("--max-part", HUGE), option("--k-max", ints(0, 6))],
+    "euler-product": [FORMS, CONVERGENT_S, required("--max-factor", HUGE)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_SIZES))
+def test_size_past_2_53_is_a_value_error_document(command):
+    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @given(st.tuples(*HUGE_SIZES[command]))
+    def check(groups):
+        argv = [command] + [a for g in groups for a in g]
+        code, out, err = run(argv)
+        assert (code, err) == (1, ""), (argv, code, err)
+        doc = json.loads(out)
+        assert doc["error"] == "ValueError" and "below 2^53" in doc["detail"], (argv, doc)
+
+    check()
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_cli_argv_ends_in_json_or_usage_error(command):
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)

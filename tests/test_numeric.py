@@ -643,6 +643,15 @@ def test_direct_sum_validation():
         direct_sum_truncated(2, 0, 100)
     with pytest.raises(ValueError):
         direct_sum_truncated(2, 2, 0)
+    # From 2^53 on, as for euler_product_eval's max_factor, and far past the
+    # double range: a ValueError before any sum or rounding bound is formed.
+    for max_part in (2**53, 2**1100):
+        with pytest.raises(ValueError, match="2\\^53"):
+            direct_sum_truncated(2, 1, max_part)
+        with pytest.raises(ValueError, match="2\\^53"):
+            truncation_error_estimate(2, 1, max_part)
+        with pytest.raises(ValueError, match="2\\^53"):
+            restricted_genfun_coeffs(2, max_part, 1)
 
 
 def test_truncation_estimate_matches_reported_and_shrinks():

@@ -157,36 +157,65 @@ def _random_coeff(rng: random.Random):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
 
 
+def unscaled(ints: list[int], a: list[Fraction]) -> list[Fraction]:
+    # The integer sides are scaled by order! den^order, den the lcm of the
+    # coefficients' denominators, order = len(a).
+    order = len(a)
+    scale = math.factorial(order) * math.lcm(*(c.denominator for c in a)) ** order
+    assert all(type(t) is int for t in ints)
+    return [Fraction(t, scale) for t in ints]
+
+
 def test_integer_partition_pass_matches_fraction_partition_sums():
     rng = random.Random(1301)
     for order in [0, 1] + list(range(2, 15)):
         for _ in range(8 if order < 10 else 3):
             raw = [_random_coeff(rng) for _ in range(order)]
             a = [Fraction(c) for c in raw]
-            got = qseries._exp_partition_sums(a, order)
+            got = unscaled(qseries._exp_partition_sums(a, order), a)
             assert got == exp_partition_sums_fraction(raw, order), (order, raw)
             assert faa_di_bruno_check(raw, order), (order, raw)
     # All zeros leave only the constant term; a single nonzero a_j = c
     # gives c^m / m! at x^(j m).
-    assert qseries._exp_partition_sums([Fraction(0)] * 5, 5) == [1, 0, 0, 0, 0, 0]
-    got = qseries._exp_partition_sums([Fraction(0), Fraction(-3, 2**65)] + [Fraction(0)] * 4, 6)
+    zeros = [Fraction(0)] * 5
+    assert unscaled(qseries._exp_partition_sums(zeros, 5), zeros) == [1, 0, 0, 0, 0, 0]
     c = Fraction(-3, 2**65)
+    a = [Fraction(0), c] + [Fraction(0)] * 4
+    got = unscaled(qseries._exp_partition_sums(a, 6), a)
     assert got == [1, 0, c, 0, c**2 / 2, 0, c**3 / 6]
 
 
+def test_integer_recurrence_matches_fraction_recurrence():
+    # The check's integer recurrence against complete_homogeneous on
+    # Fractions, the same recurrence with every product and sum reduced.
+    rng = random.Random(2707)
+    for order in range(17):
+        for _ in range(8 if order < 10 else 3):
+            a = [Fraction(_random_coeff(rng)) for _ in range(order)]
+            got = unscaled(qseries._exp_recurrence(a, order), a)
+            assert got == exp_coeffs(a), (order, a)
+    # The padding zeros of faa_di_bruno_check, and exp(x) against 1/n!.
+    zeros = [Fraction(0)] * 4
+    assert unscaled(qseries._exp_recurrence(zeros, 4), zeros) == [1, 0, 0, 0, 0]
+    a = [Fraction(1)] + [Fraction(0)] * 7
+    assert unscaled(qseries._exp_recurrence(a, 8), a) == [Fraction(1, math.factorial(n)) for n in range(9)]
+
+
 def test_faa_di_bruno_fails_when_any_one_coefficient_is_off(monkeypatch):
-    # Perturbing the recurrence's x^k coefficient alone, for each k <= order,
-    # must fail the check: the partition side never reads the recurrence.
+    # Perturbing the recurrence's scaled x^k coefficient by one unit alone,
+    # for each k <= order, must fail the check: the partition side never
+    # reads the recurrence.
     order = 9
     coeffs = [Fraction((-1) ** j * j, j + 2) for j in range(1, order + 1)]
     assert faa_di_bruno_check(coeffs, order)
+    true_recurrence = qseries._exp_recurrence
     for k in range(order + 1):
-        def off_at_k(power_sums, one, k=k):
-            h = complete_homogeneous(power_sums, one)
-            h[k] += Fraction(1, 10**30)
-            return h
+        def off_at_k(a, order, k=k):
+            b = true_recurrence(a, order)
+            b[k] += 1
+            return b
 
-        monkeypatch.setattr(qseries, "complete_homogeneous", off_at_k)
+        monkeypatch.setattr(qseries, "_exp_recurrence", off_at_k)
         assert not faa_di_bruno_check(coeffs, order), k
 
 
@@ -264,41 +293,57 @@ def test_exact_identity_k2_by_hand():
     left = poly_mul(poly_mul(num, one_minus_q), one_minus_q2)
     right = poly_mul(poly_mul([2], poly_mul(one_minus_q, one_minus_q)), one_minus_q2)
     assert left == right + [0]
-    assert sorted(qseries._cycle_types(2), key=str) == [(1, {1: 2}), (1, {2: 1})]
+    # Both cycle types of S_2 have one permutation: 1/(1-q^2) and 1/(1-q)^2.
+    assert sorted(qseries._cycle_type_terms(2, 5)) == [(1, [1, 0, 1, 0, 1]), (1, [1, 2, 3, 4, 5])]
     # The series comparison decides the identity at d = 1*2 + 2*1 = 4.
     assert macmahon_lhs(2, 4) == macmahon_rhs(2, 4)
     assert macmahon_exact_identity(2)
 
 
+def series_of(lam: tuple[int, ...], length: int) -> list[int]:
+    # 1 / prod_(j in lam) (1 - q^j) modulo q^length, one geometric series at
+    # a time.  Modulo q^(k+1) it determines a partition of k: the q^n
+    # coefficient, once the parts below n are divided out, is m_n.
+    c = [1] + [0] * (length - 1)
+    for j in lam:
+        for n in range(j, length):
+            c[n] += c[n - j]
+    return c
+
+
 def test_cycle_type_counts_match_permutations():
-    # k!/z_lambda against a brute-force count over all permutations of k.
+    # The pass's k!/z_lambda against a brute-force count over all
+    # permutations of k, each term matched to its cycle type by its series.
     for k in range(1, 7):
         counts: dict[tuple[int, ...], int] = {}
         for perm in itertools.permutations(range(k)):
             key = cycle_type(perm)
             counts[key] = counts.get(key, 0) + 1
+        by_series = {tuple(series_of(lam, k + 1)): lam for lam in counts}
+        assert len(by_series) == len(counts)
         got = {}
-        for count, mult in qseries._cycle_types(k):
-            key = tuple(sorted((j for j, mj in mult.items() for _ in range(mj)), reverse=True))
-            got[key] = count
+        for count, series in qseries._cycle_type_terms(k, k + 1):
+            lam = by_series[tuple(series)]
+            assert lam not in got, (k, lam)
+            got[lam] = count
         assert got == counts, k
         assert sum(got.values()) == math.factorial(k)
 
 
 def test_wrong_class_size_breaks_both_modes(monkeypatch):
-    # One partition's weight k!/z_lambda off by one must fail the exact
+    # Any one partition's weight k!/z_lambda off by one must fail the exact
     # identity and the coefficientwise series check alike.
-    true_cycle_types = qseries._cycle_types
-
-    def one_weight_wrong(k):
-        for i, (count, mult) in enumerate(true_cycle_types(k)):
-            yield (count + 1 if i == 1 else count), mult
-
-    monkeypatch.setattr(qseries, "_cycle_types", one_weight_wrong)
+    true_terms = qseries._cycle_type_terms
     for k in (2, 5, 9):
         order = 2 * k + 10
-        assert not macmahon_exact_identity(k), k
-        assert macmahon_lhs(k, order) != macmahon_rhs(k, order), k
+        for wrong in range(sum(1 for _ in true_terms(k, 1))):
+            def one_weight_wrong(k, length, wrong=wrong):
+                for i, (count, series) in enumerate(true_terms(k, length)):
+                    yield (count + 1 if i == wrong else count), series
+
+            monkeypatch.setattr(qseries, "_cycle_type_terms", one_weight_wrong)
+            assert not macmahon_exact_identity(k), (k, wrong)
+            assert macmahon_lhs(k, order) != macmahon_rhs(k, order), (k, wrong)
 
 
 def test_length_conjugation_bijection():
