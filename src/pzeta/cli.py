@@ -289,8 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (DomainError, ModuleNotFoundError) as exc:
-        # ModuleNotFoundError: oracle, genfun and the even and subset forms
-        # of euler-product need numpy.
+        # ModuleNotFoundError: the even and subset forms of euler-product
+        # need numpy, and so do oracle and genfun once --max-part times
+        # (k + 1) passes 10^5, where the bounded-part sums run in numpy.
         _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt)
         return 1
     except ValueError as exc:

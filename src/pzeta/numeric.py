@@ -24,22 +24,27 @@ value attached.  Non-finite s raises DomainError on every public entry,
 and so does an s for which s log n overflows in the routines that form
 n^-s up to a caller's cutoff.
 
-numpy is imported only inside _bounded_part_sums (the kernel of
-restricted_genfun_coeffs and direct_sum_truncated),
-truncation_error_estimate and _subset_parts and _array_log_sum (a subset
-form's parts and their one array pass), so importing the package, the
-zeta, F_k and pole-order paths and the built-in Euler products, distinct
-and not_one, never load it.
+numpy is imported only inside _numpy_part_sums and _subset_parts and
+_array_log_sum (a subset form's parts and their one array pass), so
+importing the package, the zeta, F_k and pole-order paths, the built-in
+Euler products, distinct and not_one, and truncation_error_estimate never
+load it.  _bounded_part_sums, the kernel of restricted_genfun_coeffs and
+direct_sum_truncated, runs the same recurrence in pure Python while numpy
+is not loaded and max_part (k_max + 1) is at most _PURE_KERNEL_CAP, and in
+numpy otherwise: so a fresh `pzeta oracle` or `pzeta genfun` at default
+sizes never imports it.  The two kernels may differ in the last bits of a
+coefficient, and each stays within _kernel_rounding's one bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .errors import (
@@ -325,7 +330,13 @@ def _zeta_functional(s: complex) -> EvalResult:
         prefactor = math.nan
     if not cmath.isfinite(prefactor):
         # Where pi |t| / 2 does, sin(pi s / 2) is infinite without an
-        # OverflowError, and its product with Gamma(1 - s) = 0 is NaN.
+        # OverflowError, and its product with Gamma(1 - s) = 0 is NaN.  At a
+        # trivial zero s = -2n the sine is exactly 0, so zeta is too, however
+        # far Gamma(1 - s) overflows; terms_used counts the inner sum's plan,
+        # as at the trivial zeros whose prefactor is formed.
+        if s.imag == 0 and _sinpi(s / 2) == 0:
+            n_cut, depth, _ = _em_plan(1 - s)
+            return EvalResult(0j, 0.0, n_cut + depth)
         raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}")
     # Multiplied, not divided: the prefactor is exactly 0 at the trivial zeros.
     inner = _zeta_euler_maclaurin(1 - s, abs(prefactor))
@@ -432,8 +443,34 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     return _finite(EvalResult(value, d, terms))
 
 
+#: Largest max_part (k_max + 1) that _bounded_part_sums sums in pure Python
+#: while numpy is not loaded.  At the cap the pure passes take about 8-12 ms,
+#: the powers n^-s the larger share, against the ~130 ms that importing
+#: numpy costs a fresh process (2 shared CPUs, Python 3.11.7).
+_PURE_KERNEL_CAP = 10**5
+
+
 def _bounded_part_sums(s: complex, max_part: int, k_max: int) -> list[complex]:
-    # f_t(n) = f_t(n-1) + n^-s f_(t-1)(n): one cumulative sum per t.
+    # f_t(n) = f_t(n-1) + n^-s f_(t-1)(n): one cumulative sum per t, added
+    # left to right from n = 1 by either kernel.  numpy's runs wherever
+    # numpy is already loaded, so a process that has paid for its import
+    # keeps the faster passes.
+    if sys.modules.get("numpy") is None and max_part * (k_max + 1) <= _PURE_KERNEL_CAP:
+        return _python_part_sums(s, max_part, k_max)
+    return _numpy_part_sums(s, max_part, k_max)
+
+
+def _python_part_sums(s: complex, max_part: int, k_max: int) -> list[complex]:
+    w = list(map(pow, range(1, max_part + 1), repeat(-s)))
+    f = repeat(1.0)
+    out = [1 + 0j]
+    for _ in range(k_max):
+        f = list(accumulate(map(mul, w, f)))
+        out.append(f[-1])
+    return out
+
+
+def _numpy_part_sums(s: complex, max_part: int, k_max: int) -> list[complex]:
     import numpy as np
 
     w = np.arange(1, max_part + 1, dtype=np.float64) ** (-s)
@@ -453,11 +490,14 @@ def _kernel_rounding(s: complex, k: int, max_part: int) -> tuple[float, float]:
     # u, per pass and relative to that bound: the model's phase share is at
     # most 2 |t| log M; numpy's modulus exp(-sigma log n) errs by
     # 2 sigma log n, which weighted by n^-sigma averages under log M (under
-    # 2.3 from sigma = 2 on; checked numerically for M <= 10^7); the model's
-    # 20 covers the rest with the product w f; the sequential cumsum adds
-    # u |partial sum| per step (componentwise, so in modulus too), under M
-    # in all.  The k passes add up: phase share 2 k u |t| log M Z^k, whole
-    # bound k u ((2 |t| + 1) log M + M + 20) Z^k.
+    # 2.3 from sigma = 2 on; checked numerically for M <= 10^7), and
+    # CPython's, from pow(n, -sigma) or repeated squaring, by a few u, within
+    # the model's 20, which covers the rest with the product w f; either
+    # kernel's sequential sum adds u |partial sum| per step (componentwise,
+    # so in modulus too), under M in all.  The k passes add up: phase share
+    # 2 k u |t| log M Z^k, whole bound k u ((2 |t| + 1) log M + M + 20) Z^k,
+    # one bound for both kernels, whose coefficients may differ in the last
+    # bits.
     log_m = math.log(max_part)
     top, z, _ = _power_rounding(s, 1, max_part, log_m)
     try:
@@ -476,7 +516,11 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     f_t(n) = f_t(n-1) + n^-s f_(t-1)(n) is one cumulative sum per t, so the
     cost is k_max * max_part operations; no zeta or partition-sum formula
     enters, so it stays an independent oracle, pinned against explicit
-    enumeration in the tests.  Requires Re(s) > 1, 1 <= max_part < 2^53
+    enumeration in the tests.  The sums run in numpy, or in pure Python
+    while numpy is not loaded and max_part (k_max + 1) <= 10^5, so a fresh
+    process at such sizes never imports numpy; the two may differ in the
+    last bits, each within the rounding bound direct_sum_truncated reports.
+    Requires Re(s) > 1, 1 <= max_part < 2^53
     (as euler_product_eval's max_factor) and k_max >= 0; non-finite s, or
     s log max_part past the double range, raises DomainError.  Where the
     rounding of the phases Im(s) log n alone could move the z^k_max
@@ -498,7 +542,9 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
     on the distance to the full length-k sum, plus the rounding of the
     kernel, k u ((2 |Im s| + 1) log M + M + 20) Z^k, Z >= zeta_M(sigma) from
-    the module's one rounding model of n^-s.  Its share
+    the module's one rounding model of n^-s.  That bound covers either
+    kernel of restricted_genfun_coeffs: pure Python while numpy is not
+    loaded and (k + 1) max_part <= 10^5, numpy otherwise.  Its share
     2 k u |Im s| log M Z^k comes from the phases Im(s) log n; when that
     share passes PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised with the
     untrusted result attached.
@@ -517,17 +563,19 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
     direct_sum_truncated(s, k, M) leaves out, sigma = Re(s): an omitted
     partition's largest part exceeds M, and T = M^(1-sigma)/(sigma-1) bounds
     those; the other parts add at most zeta(sigma) <= zeta_M(sigma) + T each,
-    zeta_M the sum of n^-sigma to M.  Requires k >= 1 and 1 <= M < 2^53.
-    Infinite past the double range; DomainError where s log M overflows."""
+    zeta_M the sum of n^-sigma to M.  zeta_M(sigma) is
+    zeta(sigma) - zeta(sigma, M+1) from the Euler-Maclaurin kernel, plus
+    both est_errors, so it stays an upper bound at a cost independent of M.
+    Requires k >= 1 and 1 <= M < 2^53.  Infinite past the double range;
+    DomainError where s log M overflows."""
     s = _convergent_arg(s, max_part, k >= 1 and 1 <= max_part < 2**53,
                         "k must be >= 1, and max_part >= 1 and below 2^53")
-    import numpy as np
-
     sigma = s.real
-    n = np.arange(1, max_part + 1, dtype=np.float64)
+    whole, beyond = (_zeta_euler_maclaurin(complex(sigma), 1.0, a) for a in (1, max_part + 1))
+    partial = (whole.value - beyond.value).real + whole.est_error + beyond.est_error
     tail = max_part ** (1 - sigma) / (sigma - 1)
     try:
-        return (float(np.sum(n ** (-sigma))) + tail) ** (k - 1) * tail
+        return (partial + tail) ** (k - 1) * tail
     except OverflowError:
         return math.inf
 

@@ -14,7 +14,8 @@ complete_homogeneous_loop and family_error_loop run the Newton recurrence
 and partition_zeta_family's error recurrence as plain loops over j, one
 generator sum per step.  family_at_negative_integer gives F_k(-n) exactly
 from the rational zeta(-m) = -B_(m+1)/(m+1), through that plain loop on
-Fractions.
+Fractions.  truncation_error_numpy_sum is the direct sums' truncation bound
+with zeta_M summed term by term in numpy.
 """
 
 from __future__ import annotations
@@ -170,3 +171,19 @@ def family_at_negative_integer(n: int, k: int) -> Fraction:
     bs = bernoulli_numbers(k * n + 1)
     zetas = [-bs[j * n + 1] / (j * n + 1) for j in range(1, k + 1)]
     return complete_homogeneous_loop(zetas, Fraction(1))[k]
+
+
+def truncation_error_numpy_sum(s: complex, k: int, max_part: int) -> float:
+    """numeric.truncation_error_estimate with zeta_M(sigma) summed term by
+    term, one numpy float64 sum of n^-sigma over n <= max_part, as the
+    package formed it before it took zeta_M from the Euler-Maclaurin
+    kernel.  No argument checks; numpy is imported here only."""
+    import numpy as np
+
+    sigma = complex(s).real
+    tail = max_part ** (1 - sigma) / (sigma - 1)
+    n = np.arange(1, max_part + 1, dtype=np.float64)
+    try:
+        return (float(np.sum(n ** (-sigma))) + tail) ** (k - 1) * tail
+    except OverflowError:
+        return math.inf

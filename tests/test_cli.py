@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from pzeta import cli
+from pzeta import cli, numeric
 from pzeta.exact import partition_zeta_exact
 
 
@@ -243,9 +243,9 @@ def test_divergence_reports_domain_error(capsys):
 
 
 def test_reflection_overflow_reports_domain_error(capsys):
-    # Gamma(1 - s) overflows at s = -200, and at 0.3 + 1.7e308i the phase
-    # |Im s| log pi of pi^(s - 1) does.
-    for s in ("--s=-200", "--s=0.3+1.7e308i"):
+    # Gamma(1 - s) overflows at s = -201, where zeta is not 0, and at
+    # 0.3 + 1.7e308i the phase |Im s| log pi of pi^(s - 1) does.
+    for s in ("--s=-201", "--s=0.3+1.7e308i"):
         code, out = run_cli(capsys, "eval", s, "--k", "1")
         doc = json.loads(out)
         assert code == 1
@@ -396,14 +396,17 @@ def test_python_dash_m_invocation():
 
 
 # --- numpy and dataclasses stay off the import path -------------------------------------
-# Only the bounded-part kernel (restricted_genfun_coeffs, direct_sum_truncated),
-# truncation_error_estimate, euler_product_eval's array pass over a subset's
-# parts and ProductForm.subset_parts import numpy, so only the oracle and
-# genfun subcommands and the even and subset forms of euler-product load it.
-# The distinct and not-one forms never do, at any s: they sum their factors
-# in pure Python and their tail, where that pays, through the zeta kernel.
-# The records are namedtuples, so nothing loads dataclasses.  Each check runs
-# in a fresh interpreter, where nothing else has imported either.
+# Only the bounded-part kernel (restricted_genfun_coeffs, direct_sum_truncated)
+# once numpy is loaded or --max-part times (k + 1) passes 10^5,
+# euler_product_eval's array pass over a subset's parts and
+# ProductForm.subset_parts import numpy, so of the subcommands only the even
+# and subset forms of euler-product, and oracle and genfun above that size,
+# load it.  Below it oracle and genfun sum in pure Python, and
+# truncation_error_estimate takes zeta_M from the zeta kernel.  The
+# distinct and not-one forms never load it, at any s: they sum their
+# factors in pure Python and their tail, where that pays, through the zeta
+# kernel.  The records are namedtuples, so nothing loads dataclasses.  Each
+# check runs in a fresh interpreter, where nothing else has imported either.
 
 def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -425,6 +428,10 @@ def test_import_does_not_load_numpy():
     ["euler-product", "--form", "not-one", "--s", "3", "--max-factor", "20000"],
     ["euler-product", "--form", "distinct", "--s", "2"],
     ["euler-product", "--form", "distinct", "--s=2+1000000i", "--max-factor", "1000"],
+    ["oracle", "--s=2.5+3i", "--k", "3"],
+    ["oracle", "--s", "3", "--k", "2", "--max-part", "33333"],
+    ["genfun", "--s=1.8-7i", "--max-part", "400", "--k-max", "4"],
+    ["genfun", "--s", "2"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_does_not_load_numpy(argv):
     proc = run_python(
@@ -449,22 +456,63 @@ def test_array_subcommands_still_run(argv, key):
     assert key in json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv", [
-    ["oracle", "--s", "3", "--k", "2", "--max-part", "5"],
-    ["euler-product", "--form", "even", "--s", "2", "--max-factor", "100"],
-    ["euler-product", "--form", "subset", "--subset", "2,3", "--s", "2"],
-    ["genfun", "--s", "3", "--max-part", "5", "--k-max", "2"],
-], ids=["oracle", "euler-product", "euler-product-subset", "genfun"])
-def test_array_subcommands_without_numpy_report_json_error(argv):
-    # With numpy unimportable, the three array subcommands end in the usual
-    # JSON error document and exit 1, not in a traceback.
+def test_oracle_above_the_pure_kernel_cap_loads_numpy():
+    # --max-part 33334 at k = 2 sums 3 passes of 33334 terms, past 10^5.
     proc = run_python(
+        "import sys\n"
+        "from pzeta import cli\n"
+        "assert cli.main(['oracle', '--s', '3', '--k', '2', '--max-part', '33334']) == 0\n"
+        "assert 'numpy' in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "value" in json.loads(proc.stdout)
+
+
+def _run_without_numpy(argv):
+    return run_python(
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from pzeta import cli\n"
         f"sys.exit(cli.main({argv!r}))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--s", "3", "--k", "2", "--max-part", "33334"],
+    ["euler-product", "--form", "even", "--s", "2", "--max-factor", "100"],
+    ["euler-product", "--form", "subset", "--subset", "2,3", "--s", "2"],
+    ["genfun", "--s", "3", "--max-part", "20001", "--k-max", "4"],
+], ids=["oracle", "euler-product", "euler-product-subset", "genfun"])
+def test_array_subcommands_without_numpy_report_json_error(argv):
+    # With numpy unimportable, the even and subset forms, and oracle and
+    # genfun past --max-part (k + 1) = 10^5, end in the usual JSON error
+    # document and exit 1, not in a traceback.
+    proc = _run_without_numpy(argv)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert doc["error"] == "ModuleNotFoundError"
     assert "numpy" in doc["detail"]
+
+
+@pytest.mark.parametrize("max_part", [5, 33333], ids=["small", "at-cap"])
+def test_oracle_without_numpy_prints_its_document(max_part):
+    # Up to --max-part (k + 1) = 10^5 the sums run in pure Python; the value
+    # is the library's, from numpy's kernel here, within the reported bound.
+    proc = _run_without_numpy(["oracle", "--s", "3", "--k", "2", "--max-part", str(max_part)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    want = numeric.direct_sum_truncated(3, 2, max_part)
+    assert doc["terms_used"] == want.terms_used == 2 * max_part
+    assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - want.value) <= doc["est_error"]
+
+
+@pytest.mark.parametrize("max_part", [5, 20000], ids=["small", "at-cap"])
+def test_genfun_without_numpy_prints_its_document(max_part):
+    proc = _run_without_numpy(["genfun", "--s", "3", "--max-part", str(max_part), "--k-max", "4"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    want = numeric.restricted_genfun_coeffs(3, max_part, 4)
+    assert len(doc["coeffs"]) == len(want) == 5
+    for c, w in zip(doc["coeffs"], want):
+        assert abs(complex(c["re"], c["im"]) - w) <= 1e-13 * abs(w)

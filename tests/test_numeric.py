@@ -14,7 +14,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import em_plan_walk, enumerate_partitions_fixed_length, subset_euler_product
+from oracles import (
+    em_plan_walk,
+    enumerate_partitions_fixed_length,
+    subset_euler_product,
+    truncation_error_numpy_sum,
+)
 from pzeta import numeric
 from pzeta.errors import (
     DivergenceRegion,
@@ -34,6 +39,9 @@ from pzeta.numeric import (
     _em_factors,
     _em_plan,
     _gamma,
+    _kernel_rounding,
+    _numpy_part_sums,
+    _python_part_sums,
     _trusted,
     _zeta_euler_maclaurin,
     _zeta_functional,
@@ -176,13 +184,24 @@ def test_zeta_reflection_overflow_is_typed():
     # 1.57e308 the phase |Im s| log pi of pi^(s - 1) overflows too (a
     # ZeroDivisionError in CPython); at the last point Gamma's phase does
     # (a ValueError from cmath.rect).
-    for s in (-1 + 460j, -200, -1e6 + 1e6j, 0.3 + 1.7e308j, -5 - 1.7e308j,
+    for s in (-1 + 460j, -201, -1e6 + 1e6j, 0.3 + 1.7e308j, -5 - 1.7e308j,
               -16.2 - 1.49e308j, -3.8e307 + 1.2e308j):
         with pytest.raises(PrecisionLoss):
             riemann_zeta(s)
     for s, k in ((-0.5 + 120j, 4), (0.3 + 1.7e308j, 1), (-5 - 1.7e308j, 1)):
         with pytest.raises(PrecisionLoss):
             partition_zeta_family(s, k)
+
+
+def test_trivial_zeros_past_the_prefactor_overflow_are_exactly_zero():
+    # Gamma(1 - s) overflows from s = -172 on, but sin(pi s / 2) is exactly 0
+    # at every negative even integer, every double below -2^53 included.
+    # terms_used counts the inner sum's plan, as where the prefactor is
+    # formed (s = -170).
+    for s in (-170, -174, -176, -200, -1000, -2.0**60, -1e300):
+        got = riemann_zeta(s)
+        n_cut, depth, _ = _em_plan(complex(1 - s))
+        assert got == EvalResult(0j, 0.0, n_cut + depth), s
 
 
 def test_s_past_the_double_range_is_a_domain_error():
@@ -652,6 +671,12 @@ def test_direct_sum_validation():
             truncation_error_estimate(2, 1, max_part)
         with pytest.raises(ValueError, match="2\\^53"):
             restricted_genfun_coeffs(2, max_part, 1)
+    # Below 2^53 the bound takes zeta_M from the zeta kernel at any size, with
+    # no array of parts: (zeta(2) + 1/M) / M at k = 2.
+    for max_part in (2**40, 2**52):
+        est = truncation_error_estimate(2, 2, max_part)
+        assert math.isfinite(est)
+        assert math.isclose(est, (math.pi**2 / 6 + 1 / max_part) / max_part, rel_tol=1e-12)
 
 
 def test_truncation_estimate_matches_reported_and_shrinks():
@@ -793,6 +818,55 @@ def test_genfun_rejects_non_finite_s():
     for s in (math.nan, complex(2, math.inf), complex(math.inf, 0), complex(math.nan, 1)):
         with pytest.raises(DomainError):
             restricted_genfun_coeffs(s, 10, 3)
+
+
+# --- the two bounded-part kernels ----------------------------------------------------
+# _bounded_part_sums runs _python_part_sums while numpy is not loaded and
+# _numpy_part_sums otherwise; numpy is always loaded here, so both are
+# called directly.
+
+def _kernel_grid(seed, count):
+    # Real s, and complex s with |Im s| up to 10^3, Re s in (1, 6].
+    rng = random.Random(seed)
+    for _ in range(count):
+        sigma = 1 + 10 ** rng.uniform(-3, math.log10(5))
+        t = 0.0 if rng.random() < 0.4 else rng.choice((-1, 1)) * 10 ** rng.uniform(-1, 3)
+        yield complex(sigma, t), round(2000 ** rng.random()), rng.randint(0, 6)
+
+
+def test_kernels_agree_within_the_rounding_bound():
+    for s, max_part, k_max in _kernel_grid(2801, 150):
+        pure = _python_part_sums(s, max_part, k_max)
+        array = _numpy_part_sums(s, max_part, k_max)
+        assert len(pure) == len(array) == k_max + 1
+        for t in range(k_max + 1):
+            bound = _kernel_rounding(s, t, max_part)[1]
+            assert abs(pure[t] - array[t]) <= bound, (s, max_part, t)
+
+
+def test_python_kernel_matches_literal_enumeration():
+    for s in (2, 3, 1.2 + 7j, 2.5 - 300j):
+        s = complex(s)
+        for max_part in range(1, 13):
+            got = _python_part_sums(s, max_part, 4)
+            assert got[0] == 1
+            for t in range(1, 5):
+                want = sum(math.prod(lam) ** -s
+                           for lam in enumerate_partitions_fixed_length(t, max_part))
+                assert abs(got[t] - want) <= 1e-12 * (1 + abs(want)), (s, max_part, t)
+
+
+def test_truncation_bound_from_the_zeta_kernel_matches_the_numpy_sum():
+    # zeta_M(sigma) as zeta(sigma) - zeta(sigma, M+1) plus both est_errors is
+    # never below the term-by-term numpy sum.  Relative to zeta_M + T each
+    # real-sigma est_error is about (20 + 10 depth) u, depth <= 7 here, and
+    # the power (k - 1) multiplies the gap: under 1e-13 up to k = 5, and
+    # (k - 1) 2.5e-14 in all.
+    for s, max_part, k in _kernel_grid(2804, 300):
+        k = max(k, 1)
+        got = truncation_error_estimate(s, k, max_part)
+        want = truncation_error_numpy_sum(s, k, max_part)
+        assert want <= got <= want * (1 + (k - 1) * 2.5e-14), (s, max_part, k)
 
 
 # --- pole_order_estimate --------------------------------------------------------------
