@@ -79,53 +79,34 @@ def build_parser() -> argparse.ArgumentParser:
     # --format); main() falls back to "json" when the flag never appeared.
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser(
-        "eval",
-        parents=[fmt],
-        help="numeric length-k partition zeta value at complex s",
-    )
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # Every subcommand takes --format through the fmt parent.
+        return sub.add_parser(name, parents=[fmt], help=summary)
+
+    p = command("eval", "numeric length-k partition zeta value at complex s")
     p.add_argument("--s", type=parse_complex_arg, required=True, help='complex point, e.g. "2.5+1i"')
     p.add_argument("--k", type=int, required=True, help="partition length, k >= 0")
 
-    p = sub.add_parser(
-        "exact",
-        parents=[fmt],
-        help="exact length-k value at s = 2m as a rational multiple of a pi power",
-    )
+    p = command("exact", "exact length-k value at s = 2m as a rational multiple of a pi power")
     p.add_argument("--m", type=int, required=True, help="half the even argument, m >= 1")
     p.add_argument("--k", type=int, required=True, help="partition length, k >= 0")
 
-    p = sub.add_parser(
-        "oracle",
-        parents=[fmt],
-        help="truncated direct sum over partitions with exactly k bounded parts",
-    )
+    p = command("oracle", "truncated direct sum over partitions with exactly k bounded parts")
     p.add_argument("--s", type=parse_complex_arg, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-part", type=int, default=1000, help="largest part admitted (default 1000)")
 
-    p = sub.add_parser(
-        "poles",
-        parents=[fmt],
-        help="estimate the pole order at every s = 1/j, 1 <= j <= k",
-    )
+    p = command("poles", "estimate the pole order at every s = 1/j, 1 <= j <= k")
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser(
-        "macmahon",
-        parents=[fmt],
-        help="verify the partial-fraction decomposition of the length-k generating function",
-    )
+    p = command("macmahon",
+                "verify the partial-fraction decomposition of the length-k generating function")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "series"), default="exact")
     p.add_argument("--order", type=int, default=None,
                    help="series order, --mode series only (default 2k+10)")
 
-    p = sub.add_parser(
-        "faadibruno",
-        parents=[fmt],
-        help="verify the exponential partition identity at the given order",
-    )
+    p = command("faadibruno", "verify the exponential partition identity at the given order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument(
         "--coeffs",
@@ -134,22 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
         help='comma-separated rationals a_1,a_2,... (default a_j = 1/j)',
     )
 
-    p = sub.add_parser(
-        "euler-product",
-        parents=[fmt],
-        help="restricted Euler product over admitted parts",
-    )
+    p = command("euler-product", "restricted Euler product over admitted parts")
     p.add_argument("--form", choices=("even", "distinct", "not-one", "subset"), required=True)
     p.add_argument("--s", type=parse_complex_arg, required=True)
     p.add_argument("--max-factor", type=int, default=1000000)
     p.add_argument("--subset", type=parse_int_csv, default=None,
                    help="admitted parts for --form subset, e.g. 2,3,5")
 
-    p = sub.add_parser(
-        "genfun",
-        parents=[fmt],
-        help="z-expansion coefficients of the bounded-part generating product",
-    )
+    p = command("genfun", "z-expansion coefficients of the bounded-part generating product")
     p.add_argument("--s", type=parse_complex_arg, required=True)
     p.add_argument("--max-part", type=int, default=1000)
     p.add_argument("--k-max", type=int, default=5)
@@ -157,44 +130,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args) -> tuple[dict, int]:
-    return numeric.partition_zeta_family(args.s, args.k).to_json(), 0
+def _cmd_eval(args) -> dict:
+    return numeric.partition_zeta_family(args.s, args.k).to_json()
 
 
-def _cmd_exact(args) -> tuple[dict, int]:
-    return exact.partition_zeta_exact(args.m, args.k).to_json(), 0
+def _cmd_exact(args) -> dict:
+    return exact.partition_zeta_exact(args.m, args.k).to_json()
 
 
-def _cmd_oracle(args) -> tuple[dict, int]:
-    return numeric.direct_sum_truncated(args.s, args.k, args.max_part).to_json(), 0
+def _cmd_oracle(args) -> dict:
+    return numeric.direct_sum_truncated(args.s, args.k, args.max_part).to_json()
 
 
-def _cmd_poles(args) -> tuple[dict, int]:
+def _cmd_poles(args) -> dict:
     if args.k < 1:
         raise _UsageError("--k must be >= 1")
     orders = []
     for j in range(1, args.k + 1):
         est = numeric.pole_order_estimate(args.k, j)
         orders.append({"estimated": est, "expected": args.k // j, "j": j})
-    return {"k": args.k, "orders": orders}, 0
+    return {"k": args.k, "orders": orders}
 
 
-def _cmd_macmahon(args) -> tuple[dict, int]:
+def _cmd_macmahon(args) -> dict:
     if args.k < 1:
         raise _UsageError("--k must be >= 1")
     if args.mode == "exact":
         if args.order is not None:
             raise _UsageError("--order only applies to --mode series")
-        ok = qseries.macmahon_exact_identity(args.k)
-        payload = {"identity": "macmahon", "k": args.k, "verified": ok}
-    else:
-        order = args.order if args.order is not None else 2 * args.k + 10
-        ok = qseries.macmahon_lhs(args.k, order) == qseries.macmahon_rhs(args.k, order)
-        payload = {"identity": "macmahon", "k": args.k, "order": order, "verified": ok}
-    return payload, 0 if ok else 1
+        return {"identity": "macmahon", "k": args.k,
+                "verified": qseries.macmahon_exact_identity(args.k)}
+    order = args.order if args.order is not None else 2 * args.k + 10
+    ok = qseries.macmahon_lhs(args.k, order) == qseries.macmahon_rhs(args.k, order)
+    return {"identity": "macmahon", "k": args.k, "order": order, "verified": ok}
 
 
-def _cmd_faadibruno(args) -> tuple[dict, int]:
+def _cmd_faadibruno(args) -> dict:
     if args.order < 0:
         raise _UsageError("--order must be >= 0")
     if args.coeffs is None:
@@ -204,10 +175,10 @@ def _cmd_faadibruno(args) -> tuple[dict, int]:
             raise _UsageError("--coeffs supplies more coefficients than --order")
         coeffs = args.coeffs
     ok = qseries.faa_di_bruno_check(coeffs, args.order)
-    return {"identity": "faadibruno", "order": args.order, "verified": ok}, 0 if ok else 1
+    return {"identity": "faadibruno", "order": args.order, "verified": ok}
 
 
-def _cmd_euler_product(args) -> tuple[dict, int]:
+def _cmd_euler_product(args) -> dict:
     if args.form == "subset":
         if not args.subset:
             raise _UsageError("--form subset requires --subset with at least one part")
@@ -224,19 +195,16 @@ def _cmd_euler_product(args) -> tuple[dict, int]:
         else:
             form = numeric.ProductForm.parts_not_one()
     res = numeric.euler_product_eval(form, args.s, args.max_factor)
-    payload = {"form": args.form}
-    payload.update(res.to_json())
-    return payload, 0
+    return {"form": args.form, **res.to_json()}
 
 
-def _cmd_genfun(args) -> tuple[dict, int]:
+def _cmd_genfun(args) -> dict:
     coeffs = numeric.restricted_genfun_coeffs(args.s, args.max_part, args.k_max)
-    payload = {
+    return {
         "k_max": args.k_max,
         "max_part": args.max_part,
         "coeffs": [{"re": c.real, "im": c.imag} for c in coeffs],
     }
-    return payload, 0
 
 
 _HANDLERS = {
@@ -285,24 +253,17 @@ def main(argv: list[str] | None = None) -> int:
     fmt = getattr(args, "format", "json")
     handler = _HANDLERS[args.command]
     try:
-        payload, code = handler(args)
+        payload = handler(args)
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (DomainError, ModuleNotFoundError) as exc:
-        # ModuleNotFoundError: the even and subset forms of euler-product
-        # need numpy, and so do oracle and genfun once --max-part times
-        # (k + 1) passes 10^5, where the bounded-part sums run in numpy.
+    except (DomainError, ModuleNotFoundError, ValueError, MemoryError) as exc:
+        # ModuleNotFoundError where a subcommand's arrays need numpy and it
+        # is not installed; MemoryError (numpy's is named so too) where an
+        # array passes memory, e.g. --max-part 10^14.
         _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt)
         return 1
-    except ValueError as exc:
-        _emit({"error": "ValueError", "detail": str(exc)}, fmt)
-        return 1
-    except MemoryError as exc:
-        # numpy refuses an array past memory, e.g. --max-part 10^14.
-        _emit({"error": "MemoryError", "detail": str(exc)}, fmt)
-        return 1
     _emit(payload, fmt)
-    return code
+    return 1 if payload.get("verified") is False else 0
 
 
 def main_entry() -> None:

@@ -19,9 +19,9 @@ class PoleAt1(DomainError):
 class PoleProximity(DomainError):
     """Fixed-length partition zeta requested too close to a pole s = 1/j."""
 
-    def __init__(self, j: int, message: str | None = None):
+    def __init__(self, j: int):
         self.j = j
-        super().__init__(message or f"s lies within the exclusion radius of the pole at 1/{j}")
+        super().__init__(f"s lies within the exclusion radius of the pole at 1/{j}")
 
 
 class DivergenceRegion(DomainError):

@@ -262,13 +262,13 @@ def _em_partial_rounding(s: complex, a: int, n_cut: int) -> tuple[float, float]:
     return phase, (21 + n_cut - a) * z + p
 
 
-def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1, plan=None) -> EvalResult:
+def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1) -> EvalResult:
     # Direct branch: sum_{n>=a} n^-s as the partial sum over a <= n < N plus
     # the integral, half-term and M Bernoulli corrections, with (N, M) from
-    # _em_plan(s, a) unless the caller passes that plan.  est_error is the
-    # remainder bound plus a rounding bound.  The caller multiplies the
-    # result by a factor of modulus ``scale``.
-    n_cut, depth, bound = plan or _em_plan(s, a)
+    # _em_plan(s, a).  est_error is the remainder bound plus a rounding
+    # bound.  The caller multiplies the result by a factor of modulus
+    # ``scale``.
+    n_cut, depth, bound = _em_plan(s, a)
     # Rounding, in units of u: the partial sum's share from
     # _em_partial_rounding, refused before summing where it alone is too
     # large.  The integral and half-term carry the model's error of N^-s,
@@ -321,6 +321,12 @@ def _zeta_functional(s: complex) -> EvalResult:
         # expansion zeta(s) = -1/2 - log(2 pi) s / 2 + O(s^2) instead.
         value = -0.5 - _HALF_LOG_2PI * s
         return EvalResult(value, 2.0 * abs(s) ** 2 + 1e-16, 0)
+    if s.imag == 0 and _sinpi(s / 2) == 0:
+        # A trivial zero s = -2n: the sine is exactly 0, so zeta is too,
+        # however far Gamma(1 - s) overflows.  terms_used counts the plan of
+        # the inner sum that the zero spares.
+        n_cut, depth, _ = _em_plan(1 - s)
+        return EvalResult(0j, 0.0, n_cut + depth)
     try:
         prefactor = 2**s * math.pi ** (s - 1) * _sinpi(s / 2) * _gamma(1 - s)
     except (OverflowError, ValueError, ZeroDivisionError):
@@ -330,15 +336,8 @@ def _zeta_functional(s: complex) -> EvalResult:
         prefactor = math.nan
     if not cmath.isfinite(prefactor):
         # Where pi |t| / 2 does, sin(pi s / 2) is infinite without an
-        # OverflowError, and its product with Gamma(1 - s) = 0 is NaN.  At a
-        # trivial zero s = -2n the sine is exactly 0, so zeta is too, however
-        # far Gamma(1 - s) overflows; terms_used counts the inner sum's plan,
-        # as at the trivial zeros whose prefactor is formed.
-        if s.imag == 0 and _sinpi(s / 2) == 0:
-            n_cut, depth, _ = _em_plan(1 - s)
-            return EvalResult(0j, 0.0, n_cut + depth)
+        # OverflowError, and its product with Gamma(1 - s) = 0 is NaN.
         raise PrecisionLoss(f"the reflection prefactor overflows at s = {s}")
-    # Multiplied, not divided: the prefactor is exactly 0 at the trivial zeros.
     inner = _zeta_euler_maclaurin(1 - s, abs(prefactor))
     value = prefactor * inner.value
     # Relative error beyond inner's, in units of u, each operation (libm's
@@ -376,15 +375,10 @@ def riemann_zeta(s: complex) -> EvalResult:
     from about |Im s| = 3 10^4, and before any term is summed once the
     partial sum's share of the rounding bound alone passes it.  Non-finite
     s, or an s whose |s - 1| passes the double range, raises DomainError.
-    Every check past finiteness, and the branch, are _zeta's, the dispatch
-    that partition_zeta_family shares for its factors zeta(j s).
+    partition_zeta_family takes each of its factors zeta(j s) from here.
     """
-    return _zeta(_finite_arg(s))
-
-
-def _zeta(s: complex) -> EvalResult:
-    # riemann_zeta at a finite s.  |s - 1| as abs() forms it, which raises a
-    # raw OverflowError where that passes the double range.
+    s = _finite_arg(s)
+    # |s - 1| without abs()'s raw OverflowError past the double range.
     distance = math.hypot(s.real - 1, s.imag)
     if distance == math.inf:
         raise DomainError(f"|s - 1| passes the double range at s = {s}")
@@ -412,21 +406,21 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     k = 0 returns exactly 1.  Rejects s within POLE_EXCLUSION_RADIUS of any
     pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j,
     and a finite s whose multiple j s, or its distance to 1, overflows with
-    DomainError.  Each factor is _zeta(j s), riemann_zeta's dispatch past
-    its finiteness check, so it fails as riemann_zeta(j s) does.
+    DomainError.  Each factor is riemann_zeta(j s), so it fails as that
+    call does.
     """
     s = _finite_arg(s)
     if k < 0:
         raise ValueError("k must be >= 0")
     x, y = s.real, s.imag
     for j in range(1, k + 1):
-        # |s - 1/j| without abs()'s OverflowError; _zeta refuses an
+        # |s - 1/j| without abs()'s OverflowError; riemann_zeta refuses an
         # s past the double range.
         if math.hypot(x - 1 / j, y) < POLE_EXCLUSION_RADIUS:
             raise PoleProximity(j)
         if not cmath.isfinite(j * s):
             raise DomainError(f"j s overflows at j = {j}, s = {s}")
-    zetas = [_zeta(j * s) for j in range(1, k + 1)]
+    zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
     value = complete_homogeneous([z.value for z in zetas], 1 + 0j)[k]
     a = [abs(z.value) for z in zetas]
     e = [z.est_error for z in zetas]
@@ -443,10 +437,10 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     return _finite(EvalResult(value, d, terms))
 
 
-#: Largest max_part (k_max + 1) that _bounded_part_sums sums in pure Python
-#: while numpy is not loaded.  At the cap the pure passes take about 8-12 ms,
-#: the powers n^-s the larger share, against the ~130 ms that importing
-#: numpy costs a fresh process (2 shared CPUs, Python 3.11.7).
+#: Size cap of _bounded_part_sums's pure-Python kernel.  At the cap its
+#: passes take about 8-12 ms, the powers n^-s the larger share, against the
+#: ~130 ms that importing numpy costs a fresh process (2 shared CPUs,
+#: Python 3.11.7).
 _PURE_KERNEL_CAP = 10**5
 
 
@@ -516,17 +510,14 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     f_t(n) = f_t(n-1) + n^-s f_(t-1)(n) is one cumulative sum per t, so the
     cost is k_max * max_part operations; no zeta or partition-sum formula
     enters, so it stays an independent oracle, pinned against explicit
-    enumeration in the tests.  The sums run in numpy, or in pure Python
-    while numpy is not loaded and max_part (k_max + 1) <= 10^5, so a fresh
-    process at such sizes never imports numpy; the two may differ in the
-    last bits, each within the rounding bound direct_sum_truncated reports.
-    Requires Re(s) > 1, 1 <= max_part < 2^53
-    (as euler_product_eval's max_factor) and k_max >= 0; non-finite s, or
-    s log max_part past the double range, raises DomainError.  Where the
-    rounding of the phases Im(s) log n alone could move the z^k_max
-    coefficient by more than PRECISION_LOSS_THRESHOLD (the share
-    direct_sum_truncated adds to its est_error), raises PrecisionLoss
-    before summing.
+    enumeration in the tests.  The coefficients stay within the rounding
+    bound direct_sum_truncated reports.  Requires Re(s) > 1,
+    1 <= max_part < 2^53 (as euler_product_eval's max_factor) and
+    k_max >= 0; non-finite s, or s log max_part past the double range,
+    raises DomainError.  Where the rounding of the phases Im(s) log n alone
+    could move the z^k_max coefficient by more than
+    PRECISION_LOSS_THRESHOLD (the share direct_sum_truncated adds to its
+    est_error), raises PrecisionLoss before summing.
     """
     s = _convergent_arg(s, max_part, 1 <= max_part < 2**53 and k_max >= 0,
                         "max_part must be >= 1 and below 2^53, and k_max >= 0")
@@ -542,12 +533,10 @@ def direct_sum_truncated(s: complex, k: int, max_part: int) -> EvalResult:
     est_error is truncation_error_estimate(s, k, max_part), an upper bound
     on the distance to the full length-k sum, plus the rounding of the
     kernel, k u ((2 |Im s| + 1) log M + M + 20) Z^k, Z >= zeta_M(sigma) from
-    the module's one rounding model of n^-s.  That bound covers either
-    kernel of restricted_genfun_coeffs: pure Python while numpy is not
-    loaded and (k + 1) max_part <= 10^5, numpy otherwise.  Its share
-    2 k u |Im s| log M Z^k comes from the phases Im(s) log n; when that
-    share passes PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised with the
-    untrusted result attached.
+    the module's one rounding model of n^-s, within which the coefficient
+    stays.  Its share 2 k u |Im s| log M Z^k comes from the phases
+    Im(s) log n; when that share passes PRECISION_LOSS_THRESHOLD,
+    PrecisionLoss is raised with the untrusted result attached.
     """
     est = truncation_error_estimate(s, k, max_part)
     s = complex(s)
@@ -581,7 +570,8 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
 
 
 def pole_order_estimate(k: int, j: int) -> int:
-    """Estimated order of the pole of the length-k value at s = 1/j.
+    """Estimated order of the pole of the length-k value at s = 1/j, for
+    ints 1 <= j <= k (ValueError otherwise).
 
     The growth exponent log2 |f(1/j + eps) / f(1/j + 2 eps)| at eps = d/4
     and d/2 (three evaluations), d = 0.004 rho with rho = 1/(j (j + 1)) the
@@ -595,6 +585,8 @@ def pole_order_estimate(k: int, j: int) -> int:
     to the left, so |a| rho <= 0.46 k for j <= k <= 100: at eps <= d/2 the
     error is under 0.0014 k, 0.14 at k = 100, within the 1/2 allowed.
     """
+    if not (isinstance(k, int) and isinstance(j, int)):
+        raise ValueError(f"k and j must be integers, got k = {k!r}, j = {j!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= j <= k:
@@ -690,23 +682,23 @@ def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
     # sum to under 2 b_j / j: an error of u in the log is one of u relative
     # in the product, far below the 1e-13 allowed for rounding.
     top = min(max_factor, _HEAD)
-    cost, share, tail, j = top, 0.0, [], 1
+    cost, share, j = top, 0.0, 1
     while max_factor > top:
         js = j * s.real
         b = (_HEAD + 1) ** -js * (1 + (_HEAD + 1) / (js - 1))
         if b <= j * _U:
             break
-        z, plans = j * s, []
+        z = j * s
         for a in (_HEAD + 1, max_factor + 1):
-            plan = _em_plan(z, a)
-            cost += plan[0] - a + 1 + _CORRECTION_COST * plan[1]
-            share += _em_partial_rounding(z, a, plan[0])[1] / j
-            plans.append((a, plan))
+            n_cut, depth, _ = _em_plan(z, a)
+            cost += n_cut - a + 1 + _CORRECTION_COST * depth
+            share += _em_partial_rounding(z, a, n_cut)[1] / j
         if cost >= max_factor or _U * share > PRECISION_LOSS_THRESHOLD:
-            top, tail = max_factor, []
+            top = max_factor
         else:
-            tail.append((j, z, plans))
             j += 1
+    # The tail's terms j = 1 .. j - 1, each priced above.
+    tail = range(1, j) if max_factor > top else ()
     err = 2 * b / j if max_factor > top else 0.0
     err += _phase_rounding(s, top)
     sigma, t = s.real, s.imag
@@ -721,11 +713,11 @@ def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
         log_sum = 0.0
         for n in range(lo, top + 1):
             log_sum += math.log1p(sign * n ** -sigma)
-    for j, z, plans in tail:
-        upper, lower = (_zeta_euler_maclaurin(z, 1 / j, a, plan) for a, plan in plans)
+    for i in tail:
+        upper, lower = (_zeta_euler_maclaurin(i * s, 1 / i, a) for a in (_HEAD + 1, max_factor + 1))
         p = upper.value - lower.value
-        log_sum += -((-sign) ** j) / j * (p if t else p.real)
-        err += (upper.est_error + lower.est_error) / j
+        log_sum += -((-sign) ** i) / i * (p if t else p.real)
+        err += (upper.est_error + lower.est_error) / i
     return log_sum, err
 
 

@@ -198,6 +198,26 @@ def test_faadibruno_custom_coeffs(capsys):
     assert doc == {"identity": "faadibruno", "order": 5, "verified": True}
 
 
+@pytest.mark.parametrize("check, failing, argv, doc", [
+    ("faa_di_bruno_check", False, ["faadibruno", "--order", "5"],
+     {"identity": "faadibruno", "order": 5, "verified": False}),
+    ("macmahon_exact_identity", False, ["macmahon", "--k", "3"],
+     {"identity": "macmahon", "k": 3, "verified": False}),
+    ("macmahon_rhs", None, ["macmahon", "--k", "3", "--mode", "series"],
+     {"identity": "macmahon", "k": 3, "order": 16, "verified": False}),
+], ids=["faadibruno", "macmahon", "macmahon-series"])
+def test_failed_verification_exits_1_with_its_document(capsys, monkeypatch, check, failing, argv, doc):
+    # One exit-code rule in main: 1 exactly where the document says
+    # "verified": false.  The series mode compares macmahon_lhs with
+    # macmahon_rhs, so a right side of None fails it.
+    monkeypatch.setattr(cli.qseries, check, lambda *args: failing)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert captured.err == ""
+
+
 def test_euler_product_subset(capsys):
     code, out = run_cli(
         capsys, "euler-product", "--form", "subset", "--s", "2",

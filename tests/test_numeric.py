@@ -197,11 +197,14 @@ def test_trivial_zeros_past_the_prefactor_overflow_are_exactly_zero():
     # Gamma(1 - s) overflows from s = -172 on, but sin(pi s / 2) is exactly 0
     # at every negative even integer, every double below -2^53 included.
     # terms_used counts the inner sum's plan, as where the prefactor is
-    # formed (s = -170).
-    for s in (-170, -174, -176, -200, -1000, -2.0**60, -1e300):
+    # formed (s = -170).  Every trivial zero takes the one path, so both
+    # parts are +0.0 whether or not the prefactor would overflow.
+    zeros = [-2 * n for n in range(1, 201)]
+    for s in (-170, -174, -176, -200, -1000, -2.0**60, -1e300, *zeros):
         got = riemann_zeta(s)
         n_cut, depth, _ = _em_plan(complex(1 - s))
         assert got == EvalResult(0j, 0.0, n_cut + depth), s
+        assert math.copysign(1, got.value.real) == math.copysign(1, got.value.imag) == 1, s
 
 
 def test_s_past_the_double_range_is_a_domain_error():
@@ -921,6 +924,32 @@ def test_pole_order_validation():
         pole_order_estimate(3, 4)
     with pytest.raises(ValueError):
         pole_order_estimate(3, 0)
+    # k and j are ints: s = 1/2.5 is no pole, and no partition has 2.5 parts.
+    with pytest.raises(ValueError):
+        pole_order_estimate(3, 2.5)
+    with pytest.raises(ValueError):
+        pole_order_estimate(2.5, 1)
+
+
+def test_family_factors_are_riemann_zeta_calls(monkeypatch):
+    # F_k's factors go through the public riemann_zeta, k calls at j s for
+    # j = 1..k, so a wrapper on numeric.riemann_zeta sees every one; a pole
+    # probe makes three family evaluations, 3k calls.
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return riemann_zeta(s)
+
+    monkeypatch.setattr(numeric, "riemann_zeta", counting)
+    for s, k in ((2 + 3j, 5), (-0.7 + 12j, 4), (3.5, 1), (2, 0)):
+        calls.clear()
+        partition_zeta_family(s, k)
+        assert calls == [j * complex(s) for j in range(1, k + 1)], (s, k)
+    for k, j in ((4, 1), (4, 3), (7, 2)):
+        calls.clear()
+        pole_order_estimate(k, j)
+        assert len(calls) == 3 * k, (k, j)
 
 
 # --- euler_product_eval -------------------------------------------------------------
