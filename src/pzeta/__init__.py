@@ -6,7 +6,8 @@ The package computes it three ways and checks the routes against each other:
 
   * exactly, at even arguments s = 2m, as a rational multiple of pi^(2mk);
   * numerically on the complex plane, through the explicit formula in
-    zeta(s), ..., zeta(ks) over the partitions of k, by an O(k^2) recurrence;
+    zeta(s), ..., zeta(ks) over the partitions of k, by an O(k^2) recurrence
+    that stops on Re s > 1 once a proven tail bound is below a rounding unit;
   * by brute force, as a truncated direct sum over bounded partitions.
 
 Alongside sit exact q-series verifiers for the partial-fraction

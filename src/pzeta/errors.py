@@ -2,10 +2,23 @@
 
 Domain errors signal inputs outside an operation's mathematical domain (or
 results the implementation refuses to vouch for); the command line maps them
-to exit code 1 with the class name in the ``error`` field.
+to exit code 1 with the class name in the ``error`` field.  integer_size is
+the one check that a size argument (a length, an order, a cutoff) is an
+integer, so a non-integer size is a ValueError on every public entry.
 """
 
 from __future__ import annotations
+
+from operator import index
+
+
+def integer_size(name: str, value) -> int:
+    """``value`` as an int wherever range() would take it (ints, bools and
+    other __index__ types), else ValueError naming ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class DomainError(Exception):

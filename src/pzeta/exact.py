@@ -17,6 +17,8 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 
+from .errors import integer_size
+
 
 def _decimal(n: int) -> str:
     # Decimal digits of n >= 0.  str(int) refuses past a process-wide digit
@@ -94,6 +96,7 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     numbers T_m, and B_n = 0 for odd n >= 3.  Cached for the lifetime of the
     process (the cache is lock-guarded, so concurrent callers are safe).
     """
+    n_max = integer_size("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     with _bernoulli_lock:
@@ -113,6 +116,7 @@ def zeta_even_exact(two_m: int) -> PiPower:
     zeta_even_exact(2) = (1/6) pi^2.  Odd or nonpositive arguments are
     rejected.
     """
+    two_m = integer_size("two_m", two_m)
     if two_m < 2 or two_m % 2 != 0:
         raise ValueError(f"argument must be a positive even integer, got {two_m}")
     m = two_m // 2
@@ -131,6 +135,7 @@ def partition_zeta_exact(m: int, k: int) -> PiPower:
     a scale that makes every step an exact integer, and one Fraction is
     reduced at the end.  k = 0 gives 1 by convention.
     """
+    m, k = integer_size("m", m), integer_size("k", k)
     if m < 1:
         raise ValueError("m must be >= 1")
     if k < 0:
@@ -183,6 +188,7 @@ def zeta2_family_coefficient(k: int) -> Fraction:
 
     Examples: k=1 -> 1, k=2 -> 7/4, k=5 -> 511/256.
     """
+    k = integer_size("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     return Fraction(2 ** (2 * k - 1) - 1, 2 ** (2 * k - 2))

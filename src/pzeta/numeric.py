@@ -3,7 +3,10 @@
 Riemann zeta through Euler-Maclaurin summation (reflected by the functional
 equation on the left half plane), fixed-length partition zeta values from
 zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, sums over bounded
-partitions, restricted Euler products, and pole orders.  One
+partitions, restricted Euler products, and pole orders.  On Re s > 1 the
+recurrence stops at the shortest length L whose proven tail bound
+T(Re s, L) (_family_tail) is at most u, so F_k costs O(min(k, L)^2) there
+and its est_error carries T where L < k.  One
 Euler-Maclaurin kernel sums n^-s from any start a: a = 1 for zeta, and the
 Hurwitz values zeta(js, a) for the tails of the built-in Euler products.
 
@@ -55,6 +58,7 @@ from .errors import (
     PoleAt1,
     PoleProximity,
     PrecisionLoss,
+    integer_size,
 )
 from .exact import bernoulli_numbers
 from .partitions import complete_homogeneous
@@ -164,6 +168,7 @@ _MAX_CORRECTIONS = 80
 #: costs about two terms and the planner's step about three; call times
 #: with weights 4 and 8 agree within noise, so the value is not critical.
 _CORRECTION_COST = 4
+_LOG_2 = math.log(2.0)
 _LOG_4 = math.log(4.0)
 _LOG_2PI = math.log(2 * math.pi)
 _LOG_4PI2 = 2 * _LOG_2PI
@@ -295,7 +300,10 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1) -> EvalRes
         w *= (s + (2 * r - 1)) * (s + 2 * r) * inv_n2
     value = partial + tail + corr
     mags = abs(x) * (n_cut / abs(s - 1) + 0.5) + size
-    rounding = _U * (summed + (phase + 20 + 10 * depth) * mags)
+    # Where N^-s underflows, mags is 0 and so is its share, even where the
+    # phase 2 |t| log N is infinite (inf * 0 would make the bound NaN).
+    share = (phase + 20 + 10 * depth) * mags if mags else 0.0
+    rounding = _U * (summed + share)
     return EvalResult(value, bound + rounding, n_cut - a + 1 + depth)
 
 
@@ -359,6 +367,14 @@ def _zeta_functional(s: complex) -> EvalResult:
     return EvalResult(value, est, inner.terms_used)
 
 
+def _distance_to_one(s: complex) -> float:
+    # |s - 1| without abs()'s raw OverflowError past the double range.
+    distance = math.hypot(s.real - 1, s.imag)
+    if distance == math.inf:
+        raise DomainError(f"|s - 1| passes the double range at s = {s}")
+    return distance
+
+
 def riemann_zeta(s: complex) -> EvalResult:
     """Riemann zeta on the complex plane; the pole at s = 1 is excluded.
 
@@ -378,15 +394,64 @@ def riemann_zeta(s: complex) -> EvalResult:
     partition_zeta_family takes each of its factors zeta(j s) from here.
     """
     s = _finite_arg(s)
-    # |s - 1| without abs()'s raw OverflowError past the double range.
-    distance = math.hypot(s.real - 1, s.imag)
-    if distance == math.inf:
-        raise DomainError(f"|s - 1| passes the double range at s = {s}")
-    if distance < POLE_EXCLUSION_RADIUS:
+    if _distance_to_one(s) < POLE_EXCLUSION_RADIUS:
         raise PoleAt1(f"s = {s} lies within {POLE_EXCLUSION_RADIUS} of the pole at s = 1")
     if s.real >= 0.5:
         return _trusted(_zeta_euler_maclaurin(s))
     return _trusted(_zeta_functional(s))
+
+
+def _family_tail(sigma: float, n: int) -> float:
+    """T(sigma, n) = 2^(-sigma (n+1)) C(sigma), an upper bound on the sum
+    over i > n of |G_i(s)| at sigma = Re s > 1, padded for its own
+    rounding, with C(sigma) = exp(r (1 + 3/(sigma-1)) / (1-r)) / (1 - 2^-sigma)
+    and r = (2/3)^sigma."""
+    # Removing the parts equal to 1 from a length-i partition leaves one
+    # into parts >= 2 of the same norm, so F_k = sum_{i<=k} G_i, G_i the
+    # sum of N(lambda)^-s over the partitions into exactly i parts >= 2, and
+    # |F_k - F_n| <= sum_{i>n} g_i for k >= n, g_i >= |G_i(s)| the same sum
+    # at real sigma.  Split off the parts equal to 2:
+    #     sum_i g_i x^i = (1 - x 2^-sigma)^-1 prod_{m>=3} (1 - x m^-sigma)^-1
+    #                   = sum_a (x 2^-sigma)^a sum_b H_b x^b,  H_b >= 0.
+    # For i = a + b > n, a runs from max(0, n+1-b), and for b > n the
+    # whole geometric sum 1 / (1 - 2^-sigma) is at most 2^(sigma (b-n-1))
+    # times itself, so sum_{i>n} g_i <= 2^(-sigma (n+1)) / (1 - 2^-sigma)
+    # sum_b H_b 2^(sigma b): Rankin's trick at x = 2^sigma on the m >= 3
+    # product.  Its factors have y_m = (2/m)^sigma <= r, where
+    # -log(1 - y) <= y / (1 - r), and sum_{m>=3} y_m <= 2^sigma (3^-sigma +
+    # int_3^inf x^-sigma dx) = r (1 + 3/(sigma-1)), so the product is at
+    # most exp(r (1 + 3/(sigma-1)) / (1 - r)).
+    #
+    # Rounding.  The exponent is A - B, A = a + c with a = r (1 +
+    # 3/(sigma-1)) / (1-r) and c = -log1p(-2^-sigma), B = sigma (n+1) log 2.
+    # Each step errs by at most u: r by (sigma + 1) u relative (2/3
+    # rounded, then pow), 1 / (1 - r) by 2 (sigma + 1) u more (r <= 2/3)
+    # plus 2 u, so a by (3 sigma + 10) u a in all; c by 3 u c (the slope of
+    # log1p(-y) is at most 2 on y <= 1/2), B by 3 u B, and the two
+    # additions by u (A + B) each.  The factors 1 + 4 u (sigma + 4) on A
+    # and 1 - 8 u on B cover those (3 sigma + 12) u A + 5 u B and their own
+    # roundings, and the last factor 1 + 4 u covers exp's and its own.
+    r = (2 / 3) ** sigma
+    lead = r * (1 + 3 / (sigma - 1)) / (1 - r) - math.log1p(-(2.0**-sigma))
+    exponent = lead * (1 + 4 * _U * (sigma + 4)) - sigma * _LOG_2 * (n + 1) * (1 - 8 * _U)
+    return math.exp(exponent) * (1 + 4 * _U)
+
+
+def _family_length(sigma: float, k: int) -> tuple[int, float]:
+    """(L, the tail bound to add) for F_k at Re s = sigma: on sigma > 1 the
+    shortest L = min(k, max(n, 1)) whose _family_tail(sigma, n) is at most
+    u, with T(sigma, L) where L < k; (k, 0.0) where there is no such n < k
+    or sigma <= 1."""
+    # T(sigma, n) > 2^(-sigma (n+1)), so T(sigma, n) <= u = 2^-53 needs
+    # n + 1 > 53 / sigma: no n < k does where sigma k <= 53, and the walk
+    # starts one below that bound, for its rounding.
+    if sigma <= 1 or sigma * k <= 53:
+        return k, 0.0
+    for n in range(max(1, int(53 / sigma) - 1), k):
+        tail = _family_tail(sigma, n)
+        if tail <= _U:
+            return n, tail
+    return k, 0.0
 
 
 def partition_zeta_family(s: complex, k: int) -> EvalResult:
@@ -403,12 +468,25 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     plus the rounding of step n (u = 2.5e-16 >= sqrt(5) 2^-53 per complex
     product).  terms_used is the zeta terms plus k(k+1)/2 recurrence products.
 
+    On Re s > 1 the recurrence stops early.  Removing the parts equal to 1
+    from a partition leaves one into parts >= 2 with the same norm, so
+    F_k - F_(k-1) sums N(lambda)^-s over partitions into exactly k parts
+    >= 2, each of norm at least 2^k, and every F_k with k >= n lies within
+    T(Re s, n) = 2^(-Re s (n+1)) C(Re s) of F_n (see _family_tail).  With
+    L = min(k, max(n, 1)) for the least n whose T is at most 2^-53, F_k is
+    returned as h_L on the factors zeta(s), ..., zeta(Ls) only, with
+    est_error D_L + T(Re s, L) where L < k and terms_used counting those L
+    factors and L(L+1)/2 products; the result is the same for every k > L
+    (L = 36 at Re s = 1.7, 18 at 3).  Elsewhere L = k.
+
     k = 0 returns exactly 1.  Rejects s within POLE_EXCLUSION_RADIUS of any
     pole s = 1/j, 1 <= j <= k, with PoleProximity naming the offending j,
     and a finite s whose multiple j s, or its distance to 1, overflows with
-    DomainError.  Each factor is riemann_zeta(j s), so it fails as that
-    call does.
+    DomainError, for every j <= k.  Each factor is riemann_zeta(j s), so it
+    fails as that call does; a factor j > L is never evaluated, so its
+    refusal does not refuse F_k.  A non-integer k raises ValueError.
     """
+    k = integer_size("k", k)
     s = _finite_arg(s)
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -420,8 +498,11 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
             raise PoleProximity(j)
         if not cmath.isfinite(j * s):
             raise DomainError(f"j s overflows at j = {j}, s = {s}")
-    zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
-    value = complete_homogeneous([z.value for z in zetas], 1 + 0j)[k]
+    length, tail = _family_length(x, k)
+    zetas = [riemann_zeta(j * s) for j in range(1, length + 1)]
+    for j in range(length + 1, k + 1):
+        _distance_to_one(j * s)  # the first check riemann_zeta(j s) would make
+    value = complete_homogeneous([z.value for z in zetas], 1 + 0j)[length]
     a = [abs(z.value) for z in zetas]
     e = [z.est_error for z in zetas]
     A = complete_homogeneous(a, 1.0)
@@ -429,12 +510,12 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     # D_{n-1}, ..., D_0 kept newest first, term by term as the plain loop.
     c = list(map(add, a, e))
     d, past = 0.0, []
-    for n in range(1, k + 1):
+    for n in range(1, length + 1):
         past.insert(0, d)
         acc = sum(map(add, map(mul, c, past), map(mul, e, A[n - 1::-1])))
         d = acc / n + (n + 2) * 2.5e-16 * A[n]
-    terms = sum(z.terms_used for z in zetas) + k * (k + 1) // 2
-    return _finite(EvalResult(value, d, terms))
+    terms = sum(z.terms_used for z in zetas) + length * (length + 1) // 2
+    return _finite(EvalResult(value, d + tail, terms))
 
 
 #: Size cap of _bounded_part_sums's pure-Python kernel.  At the cap its
@@ -519,6 +600,7 @@ def restricted_genfun_coeffs(s: complex, max_part: int, k_max: int) -> list[comp
     PRECISION_LOSS_THRESHOLD (the share direct_sum_truncated adds to its
     est_error), raises PrecisionLoss before summing.
     """
+    max_part, k_max = integer_size("max_part", max_part), integer_size("k_max", k_max)
     s = _convergent_arg(s, max_part, 1 <= max_part < 2**53 and k_max >= 0,
                         "max_part must be >= 1 and below 2^53, and k_max >= 0")
     _refuse_past(_kernel_rounding(s, k_max, max_part)[0], _PHASE_LOSS, max_part, s)
@@ -557,6 +639,7 @@ def truncation_error_estimate(s: complex, k: int, max_part: int) -> float:
     both est_errors, so it stays an upper bound at a cost independent of M.
     Requires k >= 1 and 1 <= M < 2^53.  Infinite past the double range;
     DomainError where s log M overflows."""
+    k, max_part = integer_size("k", k), integer_size("max_part", max_part)
     s = _convergent_arg(s, max_part, k >= 1 and 1 <= max_part < 2**53,
                         "k must be >= 1, and max_part >= 1 and below 2^53")
     sigma = s.real
@@ -585,8 +668,7 @@ def pole_order_estimate(k: int, j: int) -> int:
     to the left, so |a| rho <= 0.46 k for j <= k <= 100: at eps <= d/2 the
     error is under 0.0014 k, 0.14 at k = 100, within the 1/2 allowed.
     """
-    if not (isinstance(k, int) and isinstance(j, int)):
-        raise ValueError(f"k and j must be integers, got k = {k!r}, j = {j!r}")
+    k, j = integer_size("k", k), integer_size("j", j)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= j <= k:
@@ -771,6 +853,7 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     (N for a subset), and on the kernel route the kernel's own bounds over
     j and the omitted j.  The value is real at real s.
     """
+    max_factor = integer_size("max_factor", max_factor)
     s = _convergent_arg(s, max_factor, 1 <= max_factor < 2**53,
                         "max_factor must be >= 1 and below 2^53")
     sigma = s.real

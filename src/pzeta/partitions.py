@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import mul
 
+from .errors import integer_size
+
 
 def enumerate_partitions_of_size(k: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of size ``k`` exactly once, in reverse
@@ -19,6 +21,7 @@ def enumerate_partitions_of_size(k: int) -> Iterator[tuple[int, ...]]:
     For k = 0 yields exactly the empty partition ().  Streaming: partitions
     are produced one at a time, nothing is materialized.
     """
+    k = integer_size("k", k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:

@@ -36,6 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
+from .errors import integer_size
 from .numeric import restricted_genfun_coeffs  # noqa: F401  also public as qseries.restricted_genfun_coeffs
 
 
@@ -88,6 +89,7 @@ def _partition_side(k: int, order: int) -> list[int]:
 
 
 def _check_macmahon_args(k: int, order: int) -> None:
+    k, order = integer_size("k", k), integer_size("order", order)
     if k < 1:
         raise ValueError("k must be >= 1")
     if order < k:
@@ -131,6 +133,7 @@ def macmahon_exact_identity(k: int) -> bool:
     side, both in integers, through q^d, d = sum_j j floor(k/j), an order
     at which agreement proves equality.
     """
+    k = integer_size("k", k)
     # Why order d decides.  D = prod_j (1-q^j)^{floor(k/j)} has degree d and
     # every term's denominator divides it, so k! D (lhs - rhs) = q^k P with
     #     P = k! prod_j (1-q^j)^{floor(k/j)-1}
@@ -206,6 +209,7 @@ def faa_di_bruno_check(coeffs: Sequence, order: int) -> bool:
     plain ints at the same scale order! den^order, each computed from the
     coefficients on its own, so the lists are compared directly.
     """
+    order = integer_size("order", order)
     if order < 0:
         raise ValueError("order must be nonnegative")
     a = [Fraction(c) for c in coeffs]

@@ -31,6 +31,7 @@ from pzeta.errors import (
     PrecisionLoss,
 )
 from pzeta.exact import bernoulli_numbers, partition_zeta_exact, zeta_even_exact
+from pzeta.qseries import faa_di_bruno_check, macmahon_exact_identity, macmahon_lhs, macmahon_rhs
 from pzeta.numeric import (
     EvalResult,
     PRECISION_LOSS_THRESHOLD,
@@ -249,6 +250,33 @@ def test_array_routines_reject_non_finite_s(call):
         assert not isinstance(info.value, PrecisionLoss), s
 
 
+@pytest.mark.parametrize("call", [
+    lambda: partition_zeta_family(2, 2.5),
+    lambda: direct_sum_truncated(2, 2.5, 10),
+    lambda: direct_sum_truncated(2, 2, 10.0),
+    lambda: restricted_genfun_coeffs(2, 10, 2.5),
+    lambda: restricted_genfun_coeffs(2, 10.0, 2),
+    lambda: truncation_error_estimate(2, 2.5, 10),
+    lambda: euler_product_eval(ProductForm.parts_not_one(), 2, 10.5),
+    lambda: partition_zeta_exact(1.5, 2),
+    lambda: partition_zeta_exact(1, 2.0),
+    lambda: zeta_even_exact(4.0),
+    lambda: bernoulli_numbers(4.5),
+    lambda: macmahon_exact_identity(2.5),
+    lambda: macmahon_lhs(3, 7.5),
+    lambda: macmahon_rhs(3.0, 7),
+    lambda: faa_di_bruno_check([1], 2.5),
+], ids=["family", "direct_sum_k", "direct_sum_max_part", "genfun_k_max", "genfun_max_part",
+        "truncation", "euler_product", "exact_m", "exact_k", "zeta_even",
+        "bernoulli", "macmahon_exact", "macmahon_lhs", "macmahon_rhs", "faa_di_bruno"])
+def test_non_integer_sizes_are_value_errors(call):
+    # One check for every size argument: ValueError, never range's raw
+    # TypeError nor a value computed from a fractional size
+    # (pole_order_estimate's cases are in test_pole_order_validation).
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_em_factor_table_is_shared_and_exact():
     for depth in range(1, 21):
         table = _em_factors(depth)
@@ -357,8 +385,10 @@ def test_zeta_far_right_is_one():
     # The planner's Pochhammer factors are logged one at a time, so Re s
     # past 1e77 no longer overflows their product into a huge cutoff.  At
     # 1e200 + 1e200i, 2^-s underflows to 0 and 1 ** -s is exactly 1, so the
-    # phase error 2 |t| log N u falls on no term of nonzero modulus.
-    for s in (1e77, 1e78, 1e300, 1e300 + 5j, 1e200 + 1e200j):
+    # phase error 2 |t| log N u falls on no term of nonzero modulus, even
+    # where that phase error passes the double range (|t| past 1.3e308).
+    for s in (1e77, 1e78, 1e300, 1e300 + 5j, 1e200 + 1e200j,
+              1.0380732337696617e308 - 1.322369527239617e308j):
         got = riemann_zeta(s)
         assert got.value == 1, s
         assert got.terms_used == 3 and got.est_error < 1e-14, s
@@ -932,9 +962,10 @@ def test_pole_order_validation():
 
 
 def test_family_factors_are_riemann_zeta_calls(monkeypatch):
-    # F_k's factors go through the public riemann_zeta, k calls at j s for
-    # j = 1..k, so a wrapper on numeric.riemann_zeta sees every one; a pole
-    # probe makes three family evaluations, 3k calls.
+    # F_k's factors go through the public riemann_zeta, L calls at j s for
+    # j = 1..L (L = k except past the stop on Re s > 1), so a wrapper on
+    # numeric.riemann_zeta sees every one; a pole probe makes three family
+    # evaluations, 3k calls.
     calls = []
 
     def counting(s):
@@ -946,6 +977,11 @@ def test_family_factors_are_riemann_zeta_calls(monkeypatch):
         calls.clear()
         partition_zeta_family(s, k)
         assert calls == [j * complex(s) for j in range(1, k + 1)], (s, k)
+    # Past the stop on Re s > 1 only the L evaluated factors are calls.
+    for s, k, length in ((3 + 1j, 60, 18), (1.7 - 3.1j, 40, 36), (30, 5, 1)):
+        calls.clear()
+        partition_zeta_family(s, k)
+        assert calls == [j * complex(s) for j in range(1, length + 1)], (s, k)
     for k, j in ((4, 1), (4, 3), (7, 2)):
         calls.clear()
         pole_order_estimate(k, j)

@@ -158,6 +158,14 @@ def test_negative_size_rejected():
         list(enumerate_partitions_of_size(-1))
 
 
+def test_non_integer_size_rejected():
+    # Refused at the first next(): a fractional size would reach the
+    # repacking loop with a negative cap, which never ends.
+    for k in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError):
+            next(enumerate_partitions_of_size(k))
+
+
 # --- enumerate_partitions_fixed_length ---------------------------------------
 
 def test_fixed_length_k2_m2():

@@ -16,7 +16,10 @@ tests/oracles.py.
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
+
+import pytest
 
 from oracles import complete_homogeneous_loop, family_at_negative_integer, family_error_loop
 from pzeta.errors import DomainError, PrecisionLoss
@@ -26,7 +29,7 @@ from pzeta.exact import (
     zeta2_family_coefficient,
     zeta_even_exact,
 )
-from pzeta.numeric import partition_zeta_family, riemann_zeta
+from pzeta.numeric import _U, _family_length, _family_tail, partition_zeta_family, riemann_zeta
 from pzeta.partitions import complete_homogeneous, enumerate_partitions_of_size
 
 
@@ -125,10 +128,22 @@ def test_complete_homogeneous_is_the_plain_loop_bit_for_bit():
     assert complete_homogeneous([], -0.0)[0].hex() == "-0x0.0p+0"
 
 
+def _stop(sigma: float, k: int) -> tuple[int, float]:
+    # The length F_k stops at, found by trying every n from 1: the first
+    # whose tail bound is at most u, and that bound; (k, 0.0) if none is.
+    if sigma > 1:
+        for n in range(1, k):
+            tail = _family_tail(sigma, n)
+            if tail <= _U:
+                return n, tail
+    return k, 0.0
+
+
 def test_family_is_the_plain_loops_on_its_zeta_values_bit_for_bit():
-    # partition_zeta_family against the loops run on the same zeta(js).
+    # partition_zeta_family against the loops run on the same zeta(js),
+    # the L factors it evaluates, plus the tail bound where L < k.
     rng = random.Random(2063)
-    checked = left = 0
+    checked = left = stopped = 0
     for _ in range(160):
         s = complex(rng.uniform(-3, 6), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 1.5))
         k = rng.randint(0, 45)
@@ -136,16 +151,18 @@ def test_family_is_the_plain_loops_on_its_zeta_values_bit_for_bit():
             got = partition_zeta_family(s, k)
         except DomainError:
             continue
-        zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
+        length, tail = _stop(s.real, k)
+        zetas = [riemann_zeta(j * s) for j in range(1, length + 1)]
         a = [abs(z.value) for z in zetas]
         e = [z.est_error for z in zetas]
-        value = complete_homogeneous_loop([z.value for z in zetas], 1 + 0j)[k]
+        value = complete_homogeneous_loop([z.value for z in zetas], 1 + 0j)[length]
         assert _bits(got.value) == _bits(value), (s, k)
-        assert _bits(got.est_error) == _bits(family_error_loop(a, e, k)), (s, k)
-        assert got.terms_used == sum(z.terms_used for z in zetas) + k * (k + 1) // 2
+        assert _bits(got.est_error) == _bits(family_error_loop(a, e, length) + tail), (s, k)
+        assert got.terms_used == sum(z.terms_used for z in zetas) + length * (length + 1) // 2
         checked += 1
         left += s.real < 0.5
-    assert checked > 100 and left > 20
+        stopped += length < k
+    assert checked > 100 and left > 20 and stopped > 20
 
 
 # --- exact route ------------------------------------------------------------------
@@ -248,3 +265,107 @@ def test_numeric_at_negative_even_integers_is_exactly_zero():
             assert family_at_negative_integer(2 * n, k) == 0
             got = partition_zeta_family(-2 * n, k)
             assert got.value == 0, (n, k, got)
+
+
+# --- the stop on Re s > 1 -------------------------------------------------------
+
+def _pi(digits: int) -> Decimal:
+    # Machin's pi/4 = 4 arctan(1/5) - arctan(1/239) on integers scaled by
+    # 10^(digits + 10); the guard digits absorb the truncated divisions.
+    unity = 10 ** (digits + 10)
+
+    def arctan_inv(x: int) -> int:
+        total = term = unity // x
+        n, sign = 1, -1
+        while term:
+            term //= x * x
+            n += 2
+            total += sign * (term // n)
+            sign = -sign
+        return total
+
+    return Decimal(16 * arctan_inv(5) - 4 * arctan_inv(239)) / unity
+
+
+def _exact_decimal(value: PiPower, pi: Decimal) -> Decimal:
+    return Decimal(value.coeff.numerator) / Decimal(value.coeff.denominator) * pi**value.exponent
+
+
+def test_tail_bound_holds_against_the_exact_tails_at_two_and_four():
+    # F_n -> prod_(m>=2) (1 - m^-s)^-1 as n grows, which is 2 at s = 2 and,
+    # as 1 - m^-4 = (1 - m^-2)(1 + m^-2) and prod_(m>=1) (1 + m^-2) =
+    # sinh(pi)/pi, 4 pi / sinh(pi) at s = 4.  Every G_i is positive at real
+    # s, so the tail past F_n is exactly that limit minus F_n.  The bound is
+    # 8.2 times it at s = 2, n = 0, and from n = 4 on 4.09 times at s = 2 and
+    # 1.16 times at s = 4.
+    with localcontext() as ctx:
+        ctx.prec = 160
+        pi = _pi(170)
+        limits = {1: Decimal(2), 2: 8 * pi / (pi.exp() - (-pi).exp())}
+        for m, limit in limits.items():
+            for n in range(61):
+                tail = limit - _exact_decimal(partition_zeta_exact(m, n), pi)
+                bound = Decimal(_family_tail(2.0 * m, n))
+                assert 0 < tail <= bound <= 9 * tail, (m, n, tail, bound)
+
+
+def test_tail_bound_holds_against_mpmath_tails():
+    # The true tail at real sigma from the G_i themselves: G_i = h_i(q_1,
+    # q_2, ...) with q_j = zeta(j sigma, 2) = sum_(m>=2) m^(-j sigma), all
+    # positive, so 30 digits hold it without cancellation.  Summed to 60 +
+    # 130 / sigma terms, past which the omitted part is below 1e-35 of it.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(3001)
+    for sigma in (1.01, 1.2, 1.5, 2.0, 3.0, 8.0, *(rng.uniform(1.0, 8.0) for _ in range(6))):
+        top = 60 + math.ceil(130 / sigma)
+        q = [mpmath.zeta(j * mpmath.mpf(sigma), 2) for j in range(1, top + 1)]
+        g = complete_homogeneous_loop(q, mpmath.mpf(1))
+        tail = sum(g[61:])
+        for n in range(60, -1, -1):
+            bound = _family_tail(sigma, n)
+            assert tail <= bound, (sigma, n, tail, bound)
+            tail += g[n]
+
+
+def test_family_past_the_stop_is_the_same_for_every_length():
+    # The stop depends on Re s alone: from L + 1 on, every k returns h_L,
+    # D_L + T(Re s, L) and the same terms; k = L itself omits no tail.
+    for s in (1.7 + 3.1j, 2, 2.5 - 40j, 4 + 0.5j, 8 - 1j, 30 + 2j):
+        length, tail = _family_length(s.real, 10**6)
+        at_stop = partition_zeta_family(s, length)
+        past = [partition_zeta_family(s, k) for k in (length + 1, length + 2, length + 9, 1000)]
+        for got in past:
+            assert (_bits(got.value), _bits(got.est_error), got.terms_used) == (
+                _bits(at_stop.value), _bits(at_stop.est_error + tail), at_stop.terms_used), (s, got)
+    assert _family_length(1.7, 10**6)[0] == 36 and _family_length(3.0, 10**6)[0] == 18
+
+
+def test_family_past_the_stop_is_within_est_error_against_mpmath():
+    # Seeded on Re s in (1, 8], |Im s| <= 100, k <= 120, against 30-digit
+    # h_k(zeta(s), ..., zeta(ks)), every factor zeta(js) from mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(3002)
+    stopped = 0
+    for _ in range(16):
+        s = complex(rng.uniform(1.0, 8.0), rng.uniform(-100, 100))
+        k = rng.randint(1, 120)
+        got = partition_zeta_family(s, k)
+        ms = mpmath.mpc(s.real, s.imag)
+        want = complete_homogeneous_loop([mpmath.zeta(j * ms) for j in range(1, k + 1)], mpmath.mpf(1))[k]
+        assert abs(got.value - complex(want)) <= got.est_error, (s, k)
+        stopped += _family_length(s.real, k)[0] < k
+    assert stopped >= 8
+
+
+def test_family_at_even_arguments_past_the_stop_is_within_est_error_of_exact():
+    with localcontext() as ctx:
+        ctx.prec = 80
+        pi = _pi(90)
+        for m in (1, 2, 3):
+            for k in range(81):
+                got = partition_zeta_family(2 * m, k)
+                exact = _exact_decimal(partition_zeta_exact(m, k), pi)
+                err = abs(Decimal(got.value.real) - exact) + Decimal(abs(got.value.imag))
+                assert err <= Decimal(got.est_error), (m, k, err, got.est_error)
