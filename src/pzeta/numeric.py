@@ -434,7 +434,10 @@ def _family_tail(sigma: float, n: int) -> float:
     r = (2 / 3) ** sigma
     lead = r * (1 + 3 / (sigma - 1)) / (1 - r) - math.log1p(-(2.0**-sigma))
     exponent = lead * (1 + 4 * _U * (sigma + 4)) - sigma * _LOG_2 * (n + 1) * (1 - 8 * _U)
-    return math.exp(exponent) * (1 + 4 * _U)
+    try:
+        return math.exp(exponent) * (1 + 4 * _U)
+    except OverflowError:  # near sigma = 1, at small n: T is far above u
+        return math.inf
 
 
 def _family_length(sigma: float, k: int) -> tuple[int, float]:
@@ -443,9 +446,9 @@ def _family_length(sigma: float, k: int) -> tuple[int, float]:
     u, with T(sigma, L) where L < k; (k, 0.0) where there is no such n < k
     or sigma <= 1."""
     # T(sigma, n) > 2^(-sigma (n+1)), so T(sigma, n) <= u = 2^-53 needs
-    # n + 1 > 53 / sigma: no n < k does where sigma k <= 53, and the walk
-    # starts one below that bound, for its rounding.
-    if sigma <= 1 or sigma * k <= 53:
+    # n + 1 > 53 / sigma; the walk starts one below that bound, for its
+    # rounding.
+    if sigma <= 1:
         return k, 0.0
     for n in range(max(1, int(53 / sigma) - 1), k):
         tail = _family_tail(sigma, n)
@@ -468,11 +471,8 @@ def partition_zeta_family(s: complex, k: int) -> EvalResult:
     plus the rounding of step n (u = 2.5e-16 >= sqrt(5) 2^-53 per complex
     product).  terms_used is the zeta terms plus k(k+1)/2 recurrence products.
 
-    On Re s > 1 the recurrence stops early.  Removing the parts equal to 1
-    from a partition leaves one into parts >= 2 with the same norm, so
-    F_k - F_(k-1) sums N(lambda)^-s over partitions into exactly k parts
-    >= 2, each of norm at least 2^k, and every F_k with k >= n lies within
-    T(Re s, n) = 2^(-Re s (n+1)) C(Re s) of F_n (see _family_tail).  With
+    On Re s > 1 the recurrence stops early: every F_k with k >= n lies
+    within T(Re s, n) of F_n, the tail bound proven in _family_tail.  With
     L = min(k, max(n, 1)) for the least n whose T is at most 2^-53, F_k is
     returned as h_L on the factors zeta(s), ..., zeta(Ls) only, with
     est_error D_L + T(Re s, L) where L < k and terms_used counting those L

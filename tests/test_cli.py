@@ -150,6 +150,15 @@ def test_eval_far_right_is_one(capsys):
         assert json.loads(out)["value"] == {"re": 1.0, "im": 0.0}
 
 
+def test_eval_near_re_s_one_at_large_k(capsys):
+    from pzeta.numeric import partition_zeta_family
+
+    code, out = run_cli(capsys, "eval", "--s=1.005+2i", "--k", "60")
+    assert code == 0, out
+    want = partition_zeta_family(1.005 + 2j, 60)
+    assert json.loads(out)["value"] == {"re": want.value.real, "im": want.value.imag}
+
+
 def test_oracle_payload(capsys):
     code, out = run_cli(capsys, "oracle", "--s", "2", "--k", "2", "--max-part", "2")
     doc = json.loads(out)

@@ -341,6 +341,24 @@ def test_family_past_the_stop_is_the_same_for_every_length():
     assert _family_length(1.7, 10**6)[0] == 36 and _family_length(3.0, 10**6)[0] == 18
 
 
+def test_family_near_re_s_one_runs_to_its_full_length():
+    # Near sigma = 1 the bound passes the double range at the walk's first
+    # n; T is then infinite, no stop is taken, and F_k is the full
+    # recurrence, bit for bit.
+    for sigma in (1 + 1e-12, 1.0001, 1.005):
+        for n in (1, 51, 200):
+            assert _family_tail(sigma, n) == math.inf, (sigma, n)
+    for s, k in ((1.005 + 2j, 60), (1.0001 - 5j, 70)):
+        got = partition_zeta_family(s, k)
+        zetas = [riemann_zeta(j * s) for j in range(1, k + 1)]
+        a = [abs(z.value) for z in zetas]
+        e = [z.est_error for z in zetas]
+        value = complete_homogeneous_loop([z.value for z in zetas], 1 + 0j)[k]
+        assert _bits(got.value) == _bits(value), (s, k)
+        assert _bits(got.est_error) == _bits(family_error_loop(a, e, k)), (s, k)
+        assert got.terms_used == sum(z.terms_used for z in zetas) + k * (k + 1) // 2
+
+
 def test_family_past_the_stop_is_within_est_error_against_mpmath():
     # Seeded on Re s in (1, 8], |Im s| <= 100, k <= 120, against 30-digit
     # h_k(zeta(s), ..., zeta(ks)), every factor zeta(js) from mpmath.
