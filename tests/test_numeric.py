@@ -465,7 +465,7 @@ def test_zeta_est_error_is_unchanged_by_the_shift():
     for s, want in ((0.5 + 1e4j, 1.4991654539253307e-09), (2 + 3j, 9.300088570074688e-15),
                     (0.7 + 300j, 3.389988922042384e-12), (30 + 1e3j, 1.519496917190814e-14),
                     (1.5 + 2e5j, 9.441301501719332e-10), (-0.5 + 3j, 3.307145400857841e-14)):
-        assert riemann_zeta(s).est_error == pytest.approx(want, rel=1e-9), s
+        assert riemann_zeta(s).est_error == pytest.approx(want, rel=1e-9, abs=0), s
 
 
 def test_est_error_of_the_other_rounding_model_users_is_frozen():
@@ -491,7 +491,7 @@ def test_est_error_of_the_other_rounding_model_users_is_frozen():
         (euler_product_eval, (mod3, 1.5 - 1e4j, 1000), 0.00013598913815650185),
     )
     for call, args, want in cases:
-        assert call(*args).est_error == pytest.approx(want, rel=1e-12), (call.__name__, args)
+        assert call(*args).est_error == pytest.approx(want, rel=1e-12, abs=0), (call.__name__, args)
 
 
 def test_shifted_kernel_cutoff_starts_at_the_shift():
@@ -921,7 +921,7 @@ def test_pole_orders_small_grid(monkeypatch):
             calls.clear()
             assert pole_order_estimate(k, j) == k // j, (k, j)
             d = 0.004 / (j * (j + 1))
-            assert sorted(calls) == pytest.approx([1 / j + d / 4, 1 / j + d / 2, 1 / j + d], rel=1e-15)
+            assert sorted(calls) == pytest.approx([1 / j + d / 4, 1 / j + d / 2, 1 / j + d], rel=1e-15, abs=0)
     calls.clear()
     pole_order_estimate(3, 1)
     assert sorted(calls) == [1 + 5e-4, 1 + 1e-3, 1 + 2e-3]
