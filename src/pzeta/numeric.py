@@ -1,42 +1,31 @@
-"""Floating-point analytics on the complex plane.
+"""Floating-point analytics on the complex plane, in double precision.
 
-Riemann zeta through Euler-Maclaurin summation (reflected by the functional
-equation on the left half plane), fixed-length partition zeta values from
-zeta(s), ..., zeta(ks) by the O(k^2) Newton recurrence, sums over bounded
-partitions, restricted Euler products, and pole orders.  On Re s > 1 the
-recurrence stops at the shortest length L whose proven tail bound
-T(Re s, L) (_family_tail) is at most u, so F_k costs O(min(k, L)^2) there
-and its est_error carries T where L < k.  One
-Euler-Maclaurin kernel sums n^-s from any start a: a = 1 for zeta, and the
-Hurwitz values zeta(js, a) for the tails of the built-in Euler products.
+A map of the module; each proof is stated once, where its code is.
+riemann_zeta sums n^-s by the Euler-Maclaurin kernel _zeta_euler_maclaurin
+on Re s >= 1/2, with the cutoff and depth of _em_plan and its remainder
+bound, and reflects through the functional equation below
+(_zeta_functional, Gamma by _gamma).  The same kernel, started at n = a,
+gives the Hurwitz values zeta(js, a) that sum the tail of the built-in
+Euler products (_builtin_log_sum, under euler_product_eval) and the
+partial sums of truncation_error_estimate.  partition_zeta_family forms
+F_k from zeta(s), ..., zeta(ks) by the Newton recurrence, stopped on
+Re s > 1 by the tail bound of _family_tail.  restricted_genfun_coeffs and
+direct_sum_truncated read the bounded-part sums of _bounded_part_sums,
+whose rounding _kernel_rounding bounds; pole_order_estimate fits F_k near
+s = 1/j.
 
-All floating point is double precision.  Every evaluation returns an
-EvalResult carrying an absolute error bound (heuristic only for the Euler
-products' tail).  Each rounding bound on a sum of powers n^-s rests on one
-model, proved once in _power_rounding: a computed n^-s errs by at most
-(2 |Im s| log n + 20) u relative, u = 2^-53, as its phase Im(s) log n is
-rounded twice.  For zeta est_error is the Euler-Maclaurin remainder bound
-plus that rounding bound (on the reflected branch, with Gamma by
-Stirling's series and a proven remainder); zeta results whose bound
-exceeds PRECISION_LOSS_THRESHOLD are not returned but raised as
-PrecisionLoss, with the untrusted value attached when one was computed.
-One gate refuses on a rounding share alone: zeta's partial sum, and the
-phase share of the generating-function coefficients and the Euler
-products, before summing; a direct sum's phase share after, with its
-value attached.  Non-finite s raises DomainError on every public entry,
-and so does an s for which s log n overflows in the routines that form
-n^-s up to a caller's cutoff.
+Every evaluation returns an EvalResult whose est_error bounds its absolute
+error (heuristic only for the Euler products' tail).  Every rounding bound
+on a sum of powers n^-s rests on the model proved in _power_rounding, and
+_refuse_past is the one gate on a rounding share; riemann_zeta also
+refuses an est_error past PRECISION_LOSS_THRESHOLD (_trusted).  Non-finite
+s raises DomainError on every public entry.
 
-numpy is imported only inside _numpy_part_sums and _subset_parts and
-_array_log_sum (a subset form's parts and their one array pass), so
-importing the package, the zeta, F_k and pole-order paths, the built-in
-Euler products, distinct and not_one, and truncation_error_estimate never
-load it.  _bounded_part_sums, the kernel of restricted_genfun_coeffs and
-direct_sum_truncated, runs the same recurrence in pure Python while numpy
-is not loaded and max_part (k_max + 1) is at most _PURE_KERNEL_CAP, and in
-numpy otherwise: so a fresh `pzeta oracle` or `pzeta genfun` at default
-sizes never imports it.  The two kernels may differ in the last bits of a
-coefficient, and each stays within _kernel_rounding's one bound.
+numpy is imported only inside _numpy_part_sums, _subset_parts and
+_array_log_sum, so importing the package, the zeta, F_k and pole-order
+paths, the built-in Euler products and truncation_error_estimate never
+load it; _bounded_part_sums runs in pure Python while numpy is not loaded
+and the size is at most _PURE_KERNEL_CAP.
 """
 
 from __future__ import annotations
@@ -119,11 +108,13 @@ def _convergent_arg(s: complex, n_max: int, sizes_ok: bool, sizes: str) -> compl
     return s
 
 
-def _refuse_past(share: float, template: str, n: int, s: complex, partial=None) -> None:
+def _refuse_past(share: float, template: str, n: int, s: complex, partial=None) -> float:
     # The one gate on a rounding share: PrecisionLoss where it alone passes
-    # PRECISION_LOSS_THRESHOLD, its message formatted from (n, s) only then.
+    # PRECISION_LOSS_THRESHOLD, its message formatted from (n, s) only then;
+    # else the share.
     if share > PRECISION_LOSS_THRESHOLD:
         raise PrecisionLoss(template.format(n, s), partial=partial)
+    return share
 
 
 def _trusted(result: EvalResult) -> EvalResult:
@@ -234,10 +225,10 @@ def _em_plan(s: complex, a: int = 1) -> tuple[int, int, float]:
 
 def _power_rounding(s: complex, a: int, n_cut: int, log_n: float) -> tuple[float, float, float]:
     """The rounding model of n^-s, for the terms a <= n <= N = n_cut given
-    log_n = log N: (2 |t| log N, Z, P), t = Im(s), with
+    log_n = L >= log N: (2 |t| L, Z, P), t = Im(s), with
 
         Z = a^-sigma + Z1 >= sum n^-sigma,  Z1 = int_a^N x^-sigma dx,
-        P = 2 |t| (log N Z1 + log a a^-sigma) >= sum 2 |t| log n n^-sigma.
+        P = 2 |t| (L Z1 + log a a^-sigma) >= sum 2 |t| log n n^-sigma.
     """
     # CPython forms n^-s as n^-sigma (cos, sin)(t log n), and numpy its
     # phase as s.imag * log(n): two roundings in t log n, so each n^-s has a
@@ -257,31 +248,38 @@ def _power_rounding(s: complex, a: int, n_cut: int, log_n: float) -> tuple[float
     return t * (2 * log_n), head + z1, t * (2 * (log_n * z1 + math.log(a) * head))
 
 
-def _em_partial_rounding(s: complex, a: int, n_cut: int) -> tuple[float, float]:
-    """(2 |t| log N, the rounding bound in units of u of the partial sum of
-    n^-s over a <= n < N = n_cut) from _power_rounding: (21 + N - a) Z + P,
-    the model's 20 on each term and the N - a additions from 0j, each
-    erring by at most |S_k| <= Z.  Far right N = 2 and Z1 is about
-    1 / (sigma - 1), so P passes 1e-8 / u only from |t| ~ 6e7 sigma."""
-    phase, z, p = _power_rounding(s, a, n_cut, math.log(n_cut))
-    return phase, (21 + n_cut - a) * z + p
-
-
-def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1) -> EvalResult:
+def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1,
+                          budget: float = math.inf) -> EvalResult | None:
     # Direct branch: sum_{n>=a} n^-s as the partial sum over a <= n < N plus
     # the integral, half-term and M Bernoulli corrections, with (N, M) from
     # _em_plan(s, a).  est_error is the remainder bound plus a rounding
     # bound.  The caller multiplies the result by a factor of modulus
-    # ``scale``.
+    # ``scale``.  None, before any power is formed, where terms_used would
+    # reach ``budget``.
     n_cut, depth, bound = _em_plan(s, a)
-    # Rounding, in units of u: the partial sum's share from
-    # _em_partial_rounding, refused before summing where it alone is too
-    # large.  The integral and half-term carry the model's error of N^-s,
-    # 2 |t| log N + 20, plus a few roundings; correction r adds at most 9r
-    # more in w and its Bernoulli factor, and summing M corrections M more.
-    phase, summed = _em_partial_rounding(s, a, n_cut)
+    if (terms := n_cut - a + 1 + depth) >= budget:
+        return None
+    # Rounding, in units of u, refused before summing where the partial
+    # sum's share alone is too large: (21 + N - a) Z + P from _power_rounding
+    # over a <= n <= K with L = log N, for the model's 20 on each term and
+    # the N - a additions from 0j, each erring by at most |S_k| <= Z.  K = N
+    # unless (a+1)^-sigma rounds to 0, where K = a: each later term then has
+    # modulus under 2^-1074, so its parts round to 0 or +-2^-1074 and it
+    # errs by under (1 + sqrt 2) 2^-1074 whatever its phase, and by under
+    # sqrt 2 2^-1074 more through the additions, as (N - a) u < 1; 2^-1072
+    # (2^-1019 u) each covers both.  Up to sigma = 20, (a+1)^-sigma is at
+    # least 2^-1060 for a + 1 <= 2^53, so the test on sigma spares the power
+    # (past 2^53, skipping the rule only charges more).  Far right the model
+    # would charge the n = 2 term 2 |t| log 2 / (sigma - 1), past 1e-8 / u
+    # from |t| ~ 6e7 sigma.  The integral and half-term carry the model's
+    # error of N^-s, 2 |t| log N + 20, plus a few roundings; correction r
+    # adds at most 9r more in w and its Bernoulli factor, and summing M
+    # corrections M more.
+    top = a if s.real > 20 and (a + 1) ** -s.real == 0 else n_cut
+    phase, z, p = _power_rounding(s, a, top, math.log(n_cut))
+    summed = (21 + n_cut - a) * z + p + (n_cut - top) * 2.0**-1019
     _refuse_past(scale * (_U * summed), _SUM_LOSS, n_cut, s)
-    # Added left to right from 0j, the order _em_partial_rounding bounds.
+    # Added left to right from 0j, the order that bound is for.
     partial = sum(map(pow, range(a, n_cut), repeat(-s)), 0j)
     x = n_cut ** (-s)
     tail = n_cut * x / (s - 1) + 0.5 * x
@@ -291,8 +289,7 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1) -> EvalRes
     # overflow where the bound is small.
     w = s * x / n_cut
     inv_n2 = 1.0 / (n_cut * n_cut)
-    corr = 0j
-    size = 0.0  # sum of |corrections|
+    corr, size = 0j, 0.0  # the corrections' sum, and the sum of their moduli
     for r in range(1, depth + 1):
         term = factors[r] * w
         corr += term
@@ -303,8 +300,7 @@ def _zeta_euler_maclaurin(s: complex, scale: float = 1.0, a: int = 1) -> EvalRes
     # Where N^-s underflows, mags is 0 and so is its share, even where the
     # phase 2 |t| log N is infinite (inf * 0 would make the bound NaN).
     share = (phase + 20 + 10 * depth) * mags if mags else 0.0
-    rounding = _U * (summed + share)
-    return EvalResult(value, bound + rounding, n_cut - a + 1 + depth)
+    return EvalResult(value, bound + _U * (summed + share), terms)
 
 
 def _gamma(z: complex) -> complex:
@@ -739,9 +735,7 @@ def _phase_rounding(s: complex, top: int) -> float:
     (_power_rounding), as |1 -+ n^-s| >= 1/2 from n = 2 on; the model's 20 u
     is within the 1e-13 allowed for rounding.  0 at real s; PrecisionLoss
     where it passes PRECISION_LOSS_THRESHOLD."""
-    share = 2 * _U * _power_rounding(s, 1, top, math.log(top))[2]
-    _refuse_past(share, _PHASE_LOSS, top, s)
-    return share
+    return _refuse_past(2 * _U * _power_rounding(s, 1, top, math.log(top))[2], _PHASE_LOSS, top, s)
 
 
 #: Parts of a built-in product whose factors are always taken one at a
@@ -751,11 +745,13 @@ _HEAD = 64
 
 def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
     """(sum_{lo<=n<=N} log(1 + sign n^-s), a bound on its error beyond
-    1e-13) for N = max_factor, factor by factor up to K: K = _HEAD where
-    the tail through the shifted zeta kernel is planned to cost less than
-    the N - _HEAD factors it replaces, with its rounding share within
-    PRECISION_LOSS_THRESHOLD, else K = N.  Refuses before summing where
-    _phase_rounding(s, K) does."""
+    1e-13) for N = max_factor: factor by factor up to K = _HEAD and the
+    tail through the shifted zeta kernel; where the kernel declines (its
+    terms would reach the factors still unpaid, the N - _HEAD past the head
+    less its terms so far, or its rounding gate refuses), factor by factor
+    up to K = N.  Refuses before any kernel call where
+    _phase_rounding(s, _HEAD) does, and before summing a factor where
+    _phase_rounding(s, N) does once the kernel has declined."""
     # For |y| < 1, log(1 + y) = -sum_j (-y)^j / j, so the tail K < n <= N,
     # y = sign n^-s, is -sum_j (-sign)^j / j P_j with
     # P_j = zeta(js, K+1) - zeta(js, N+1) = sum_{K<n<=N} n^-js.  With
@@ -764,25 +760,25 @@ def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
     # sum to under 2 b_j / j: an error of u in the log is one of u relative
     # in the product, far below the 1e-13 allowed for rounding.
     top = min(max_factor, _HEAD)
-    cost, share, j = top, 0.0, 1
-    while max_factor > top:
+    err = _phase_rounding(s, top)
+    unpaid, tail, j = max_factor - top, [], 1
+    while top < max_factor:
         js = j * s.real
         b = (_HEAD + 1) ** -js * (1 + (_HEAD + 1) / (js - 1))
         if b <= j * _U:
+            err += 2 * b / j
             break
-        z = j * s
         for a in (_HEAD + 1, max_factor + 1):
-            n_cut, depth, _ = _em_plan(z, a)
-            cost += n_cut - a + 1 + _CORRECTION_COST * depth
-            share += _em_partial_rounding(z, a, n_cut)[1] / j
-        if cost >= max_factor or _U * share > PRECISION_LOSS_THRESHOLD:
-            top = max_factor
-        else:
-            j += 1
-    # The tail's terms j = 1 .. j - 1, each priced above.
-    tail = range(1, j) if max_factor > top else ()
-    err = 2 * b / j if max_factor > top else 0.0
-    err += _phase_rounding(s, top)
+            try:
+                zeta = _zeta_euler_maclaurin(j * s, 1 / j, a, unpaid)
+            except PrecisionLoss:
+                zeta = None
+            if zeta is None:  # the factors one by one, all the way to N
+                top, tail, err = max_factor, [], _phase_rounding(s, max_factor)
+                break
+            unpaid -= zeta.terms_used
+            tail.append(zeta)
+        j += 1
     sigma, t = s.real, s.imag
     if t:
         re = im = 0.0
@@ -795,8 +791,7 @@ def _builtin_log_sum(s: complex, lo: int, sign: float, max_factor: int):
         log_sum = 0.0
         for n in range(lo, top + 1):
             log_sum += math.log1p(sign * n ** -sigma)
-    for i in tail:
-        upper, lower = (_zeta_euler_maclaurin(i * s, 1 / i, a) for a in (_HEAD + 1, max_factor + 1))
+    for i, (upper, lower) in enumerate(zip(tail[::2], tail[1::2]), 1):
         p = upper.value - lower.value
         log_sum += -((-sign) ** i) / i * (p if t else p.real)
         err += (upper.est_error + lower.est_error) / i
@@ -831,9 +826,12 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     never import numpy: their factors are summed one by one in pure Python
     up to n = 64, and their tail 64 < n <= N as
     -sum_j (-sign)^j / j [zeta(js, 65) - zeta(js, N+1)] from the shifted
-    Euler-Maclaurin kernel, j up to the first whose bound is below u; or,
-    where the kernel is planned to cost more than the N - 64 factors or its
-    rounding share passes PRECISION_LOSS_THRESHOLD, one by one up to N.
+    Euler-Maclaurin kernel, j up to the first whose bound is below u.  The
+    kernel plans each value once, against the factors still unpaid (the
+    N - 64 past the head less its terms so far): where it would cost that
+    many terms, or its partial sum's rounding share would pass
+    PRECISION_LOSS_THRESHOLD, it declines, and the factors are summed one
+    by one up to N instead, after kernel sums of under N - 64 terms.
 
     A subset form's parts are those admitted by the mask of one predicate
     call on n = 1..max_factor, summed by one numpy pass over them as
@@ -844,7 +842,9 @@ def euler_product_eval(form: ProductForm, s: complex, max_factor: int) -> EvalRe
     and 1 <= max_factor < 2^53, from where n no longer converts to a double
     exactly (ValueError); a predicate whose result is not a mask of n's
     shape raises InvalidForm; where the phases' rounding share below passes
-    PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised before summing.
+    PRECISION_LOSS_THRESHOLD, PrecisionLoss is raised before any factor is
+    summed: for a built-in form the head's share first, then, once the
+    kernel has declined, the share up to N.
 
     est_error (heuristic for an arbitrary predicate) is |value| times the
     next-order tail terms, the density's uncertainty 1/W times the tail

@@ -388,7 +388,7 @@ def test_zeta_far_right_is_one():
     # phase error 2 |t| log N u falls on no term of nonzero modulus, even
     # where that phase error passes the double range (|t| past 1.3e308).
     for s in (1e77, 1e78, 1e300, 1e300 + 5j, 1e200 + 1e200j,
-              1.0380732337696617e308 - 1.322369527239617e308j):
+              1.0380732337696617e308 - 1.322369527239617e308j, 1e300 + 1.5e308j):
         got = riemann_zeta(s)
         assert got.value == 1, s
         assert got.terms_used == 3 and got.est_error < 1e-14, s
@@ -1098,33 +1098,83 @@ def test_builtin_products_match_the_finite_product_times_its_tail(s):
                     assert got.value.imag == 0.0 and math.copysign(1.0, got.value.imag) == 1.0
 
 
-def test_builtin_product_routes_are_planned_before_summing(monkeypatch):
-    calls = []
-    kernel = numeric._zeta_euler_maclaurin
-    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", lambda *args: calls.append(args[0]) or kernel(*args))
-    forms = (ProductForm.distinct_parts(), ProductForm.parts_not_one())
-    # Far past the head the tail costs a few dozen powers, and the kernel
-    # sums it.
-    for form in forms:
+def test_kernel_declines_at_its_budget_before_forming_a_power(monkeypatch):
+    # Where terms_used would reach the budget the kernel returns None before
+    # its rounding model forms the first power a^-sigma; one term more and
+    # it sums, as without a budget.
+    def no_power(*args):
+        raise AssertionError("a power was formed")
+
+    for s, a in ((2 + 0j, 65), (2 + 0j, 10**6 + 1), (3 + 50j, 65), (0.6 + 2e3j, 1), (2 + 1e3j, 1001)):
+        want = _zeta_euler_maclaurin(s, 1.0, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(numeric, "_power_rounding", no_power)
+            assert _zeta_euler_maclaurin(s, 1.0, a, want.terms_used) is None, (s, a)
+        assert _zeta_euler_maclaurin(s, 1.0, a, want.terms_used + 1) == want, (s, a)
+
+
+def test_builtin_product_fallback_spends_under_the_factors_it_sums(monkeypatch):
+    # Where the kernel declines or refuses, the factors are summed one by one
+    # to N, which _phase_rounding(s, N) marks; the kernel sums before that
+    # total under the N - 64 factors past the head.  At N = 65, and at
+    # 2 + 10^6 i up to N = 10^4, the kernel declines at once; at
+    # 1.5 + 2 10^6 i, N = 10^6, it sums some terms and then refuses; there
+    # the loop's phase share refuses too, from N = 900 on.
+    kernel, phase_rounding = numeric._zeta_euler_maclaurin, numeric._phase_rounding
+    summed, tops = [], []
+
+    def counting_kernel(*args):
+        got = kernel(*args)
+        summed.append(got.terms_used if got else 0)
+        return got
+
+    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", counting_kernel)
+    monkeypatch.setattr(numeric, "_phase_rounding", lambda s, top: tops.append(top) or phase_rounding(s, top))
+    fallbacks = []
+    for s in (2, 1.1, 2 + 30j, 3 + 1e3j, 2 + 1e6j, 1.5 + 2e6j):
+        for n_max in (65, 100, 150, 250, 1000, 10**4, 10**6):
+            for form in (ProductForm.distinct_parts(), ProductForm.parts_not_one()):
+                summed.clear()
+                tops.clear()
+                try:
+                    euler_product_eval(form, s, n_max)
+                except PrecisionLoss:
+                    assert s == 1.5 + 2e6j
+                if n_max in tops:
+                    fallbacks.append((s, n_max, sum(summed)))
+                    assert sum(summed) < n_max - numeric._HEAD, (form.kind, s, n_max)
+    assert {(s, n) for s, n, _ in fallbacks} >= {(2, 65), (2 + 1e6j, 10**4), (1.5 + 2e6j, 10**6)}
+    assert max(spent for s, _, spent in fallbacks if s == 1.5 + 2e6j) > 0
+
+
+def test_builtin_product_plans_each_hurwitz_value_once(monkeypatch):
+    # Through the kernel, a 10^6-factor product plans each zeta(js, a) once:
+    # one _em_plan per kernel call, two summed calls per j.
+    kernel, plan = numeric._zeta_euler_maclaurin, numeric._em_plan
+    calls, plans = [], []
+    monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", lambda *args: calls.append(kernel(*args)) or calls[-1])
+    monkeypatch.setattr(numeric, "_em_plan", lambda *args: plans.append(args) or plan(*args))
+    for form in (ProductForm.distinct_parts(), ProductForm.parts_not_one()):
         for s in (2, 1.01, 2 + 1e3j):
-            before = len(calls)
+            calls.clear()
+            plans.clear()
             euler_product_eval(form, s, 10**6)
-            assert len(calls) > before, (form.kind, s)
-    # Just past the head, and high up the imaginary axis, the kernel's
-    # cutoffs cost more than the factors they replace: the loop runs to N,
-    # and no kernel sum runs first.  Where the loop's phase rounding alone
-    # passes the threshold, it refuses.
+            assert calls and None not in calls and len(calls) % 2 == 0, (form.kind, s)
+            assert len(plans) == len(calls), (form.kind, s)
+
+
+def test_builtin_product_head_refuses_before_the_kernel(monkeypatch):
+    # Where the head's phase share alone passes the threshold, the product
+    # refuses naming n <= 64, before any kernel call.  From 2^53 on n no
+    # longer converts to a double exactly: every form refuses the size.
     def no_kernel(*args):
-        raise AssertionError("the kernel summed")
+        raise AssertionError("the kernel was called")
 
     monkeypatch.setattr(numeric, "_zeta_euler_maclaurin", no_kernel)
+    forms = (ProductForm.distinct_parts(), ProductForm.parts_not_one())
     for form in forms:
-        euler_product_eval(form, 2, numeric._HEAD + 1)
-        euler_product_eval(form, 2 + 1e6j, 1000)
-        with pytest.raises(PrecisionLoss):
+        with pytest.raises(PrecisionLoss, match="n <= 64 "):
             euler_product_eval(form, 2 + 1e12j, 10**14)
-    # From 2^53 on n no longer converts to a double exactly: every form
-    # refuses the size.
     for form in (*forms, ProductForm.subset_parts(lambda n: n % 2 == 0)):
         with pytest.raises(ValueError, match="2\\^53"):
             euler_product_eval(form, 2, 2**53)
